@@ -62,17 +62,35 @@ func BenchmarkPopBest(b *testing.B) {
 }
 
 // BenchmarkAdwiseRun measures a full fixed-window pass end to end: window
-// refill (batched stream draw), scoring, cache updates.
+// refill (batched stream draw), scoring, cache updates. The community case
+// has short incident lists; the zipf case is hub-heavy (Zipf s=1.3, 2.5k
+// vertices, 10k edges, k=32, window 1024, one shard), so nearly every
+// score walks long hub lists to collect the window neighbourhood.
 func BenchmarkAdwiseRun(b *testing.B) {
-	g := benchGraph(b)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ad, err := New(16, WithInitialWindow(128), WithFixedWindow())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := ad.Run(stream.FromEdges(g.Edges)); err != nil {
-			b.Fatal(err)
-		}
+	zipf, err := gen.Zipf(2500, 10_000, 1.3, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		g    *graph.Graph
+		k    int
+		opts []Option
+	}{
+		{"community", benchGraph(b), 16, []Option{WithInitialWindow(128), WithFixedWindow()}},
+		{"zipf", zipf, 32, []Option{WithInitialWindow(1024), WithFixedWindow(), WithScoreWorkers(1)}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ad, err := New(bc.k, bc.opts...)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := ad.Run(stream.FromEdges(bc.g.Edges)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
