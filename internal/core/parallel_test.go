@@ -13,8 +13,8 @@ import (
 )
 
 // checkWindowInvariants verifies the structural window invariants:
-// set-slice/entry agreement, incident-list coverage, the Θ accumulator,
-// and the candidate cap.
+// set-slice/entry agreement, the slot table and incident lists, the Θ
+// accumulator, and the candidate cap.
 func checkWindowInvariants(t *testing.T, w *window) {
 	t.Helper()
 	live := make(map[*winEntry]bool, w.len())
@@ -50,35 +50,102 @@ func checkWindowInvariants(t *testing.T, w *window) {
 		t.Fatalf("candidate set %d exceeds cap %d", len(w.candidates), w.maxCand)
 	}
 
-	// Incident lists hold live entries only (remove compacts eagerly);
-	// every entry must be in its set, and every live entry must appear in
-	// the incident list of both endpoints.
-	inList := make(map[*winEntry]map[graph.VertexID]bool)
-	for v, list := range w.incident {
-		for _, ent := range list {
-			if ent.kind == removed {
-				t.Fatalf("incident[%v] holds removed entry %v: remove must compact endpoint lists", v, ent.edge)
-			}
-			if !live[ent] {
-				t.Fatalf("incident[%v] holds non-removed entry %v absent from both sets", v, ent.edge)
-			}
-			if inList[ent] == nil {
-				inList[ent] = make(map[graph.VertexID]bool, 2)
-			}
-			inList[ent][v] = true
-		}
-	}
-	for ent := range live {
-		if !inList[ent][ent.edge.Src] {
-			t.Fatalf("live entry %v missing from incident[%v]", ent.edge, ent.edge.Src)
-		}
-		if ent.edge.Dst != ent.edge.Src && !inList[ent][ent.edge.Dst] {
-			t.Fatalf("live entry %v missing from incident[%v]", ent.edge, ent.edge.Dst)
-		}
-	}
+	checkSlotTable(t, w, live)
 
 	if got, want := w.scoreSum, exactScoreSum(w); math.Abs(got-want) > 1e-6*(1+math.Abs(want)) {
 		t.Fatalf("scoreSum %v inconsistent with live entries Σ %v", got, want)
+	}
+}
+
+// checkSlotTable verifies the window-local slot table against the live
+// entries: slotOf and slotVertex are inverse on live slots; every slot is
+// live or free, never both; free slots have empty lists and no mapping;
+// live slots have non-empty lists; each entry's stored slots match its
+// endpoints; and each list holds live entries incident to its vertex, with
+// the inline other slot matching the entry — so every live entry sits
+// exactly once in the list of each endpoint.
+func checkSlotTable(t *testing.T, w *window, live map[*winEntry]bool) {
+	t.Helper()
+	nslots := len(w.slotVertex)
+	if len(w.incident) != nslots {
+		t.Fatalf("|incident| = %d, |slotVertex| = %d", len(w.incident), nslots)
+	}
+	state := make([]byte, nslots) // 0 unseen, 'l' live, 'f' free
+	for v, s := range w.slotOf {
+		if s < 0 || int(s) >= nslots {
+			t.Fatalf("slotOf[%v] = %d outside [0,%d)", v, s, nslots)
+		}
+		if w.slotVertex[s] != v {
+			t.Fatalf("slotOf[%v] = %d but slotVertex[%d] = %v", v, s, s, w.slotVertex[s])
+		}
+		state[s] = 'l'
+	}
+	for _, s := range w.freeSlots {
+		if s < 0 || int(s) >= nslots {
+			t.Fatalf("free slot %d outside [0,%d)", s, nslots)
+		}
+		if state[s] != 0 {
+			t.Fatalf("free slot %d is also %s", s, map[byte]string{'l': "mapped", 'f': "free"}[state[s]])
+		}
+		state[s] = 'f'
+		if len(w.incident[s]) != 0 {
+			t.Fatalf("free slot %d has %d incident entries", s, len(w.incident[s]))
+		}
+	}
+	for s, st := range state {
+		if st == 0 {
+			t.Fatalf("slot %d is neither mapped nor free", s)
+		}
+		if st == 'l' && len(w.incident[s]) == 0 {
+			t.Fatalf("slot %d (vertex %v) is mapped with an empty list: its last edge left without freeing it", s, w.slotVertex[s])
+		}
+	}
+
+	for ent := range live {
+		if w.slotOf[ent.edge.Src] != ent.srcSlot || w.slotVertex[ent.srcSlot] != ent.edge.Src {
+			t.Fatalf("entry %v stores src slot %d, vertex %v has slot %d", ent.edge, ent.srcSlot, ent.edge.Src, w.slotOf[ent.edge.Src])
+		}
+		if w.slotOf[ent.edge.Dst] != ent.dstSlot || w.slotVertex[ent.dstSlot] != ent.edge.Dst {
+			t.Fatalf("entry %v stores dst slot %d, vertex %v has slot %d", ent.edge, ent.dstSlot, ent.edge.Dst, w.slotOf[ent.edge.Dst])
+		}
+	}
+
+	// Incident lists hold live entries only (remove unlinks eagerly); each
+	// element names a live entry incident to the list's vertex, with the
+	// entry's other endpoint slot inline.
+	seen := make(map[*winEntry]int, len(live))
+	for s, list := range w.incident {
+		for _, inc := range list {
+			ent := inc.ent
+			if ent.kind == removed {
+				t.Fatalf("incident[%d] holds removed entry %v: remove must unlink it from its endpoint lists", s, ent.edge)
+			}
+			if !live[ent] {
+				t.Fatalf("incident[%d] holds non-removed entry %v absent from both sets", s, ent.edge)
+			}
+			var want int32
+			switch int32(s) {
+			case ent.srcSlot:
+				want = ent.dstSlot
+			case ent.dstSlot:
+				want = ent.srcSlot
+			default:
+				t.Fatalf("incident[%d] holds entry %v with slots (%d,%d)", s, ent.edge, ent.srcSlot, ent.dstSlot)
+			}
+			if inc.other != want {
+				t.Fatalf("incident[%d] element for %v has other slot %d, want %d", s, ent.edge, inc.other, want)
+			}
+			seen[ent]++
+		}
+	}
+	for ent := range live {
+		want := 2
+		if ent.srcSlot == ent.dstSlot {
+			want = 1
+		}
+		if seen[ent] != want {
+			t.Fatalf("live entry %v appears %d times across incident lists, want %d (once per endpoint)", ent.edge, seen[ent], want)
+		}
 	}
 }
 

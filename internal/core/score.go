@@ -30,8 +30,8 @@ import (
 //     number of workers can score against it concurrently.
 //   - scoreScratch is the per-worker mutable state: the clustering-score
 //     counters, the per-partition score buffer, the neighbourhood
-//     collection buffers, and the worker's score-op counter. Each worker
-//     owns one; nothing in a scratch is shared.
+//     collection buffer and epoch stamps, and the worker's score-op
+//     counter. Each worker owns one; nothing in a scratch is shared.
 //   - scorer owns the cache, the adaptive λ, and a "prime" scratch for the
 //     serial paths (add, reassess, single-leader rescores), and mints
 //     scoreViews at pass boundaries.
@@ -43,7 +43,11 @@ type scoreScratch struct {
 	csCounts        []float64 // per-global-partition clustering-score counters
 	scores          []float64 // per-allowed-partition scores
 	neighborScratch []graph.VertexID
-	seenScratch     map[graph.VertexID]struct{}
+	// stamps[s] == epoch marks window slot s as already seen by the
+	// current neighbourhood walk; every walk advances epoch instead of
+	// clearing a seen-set. Grown lazily to the window's slot count.
+	stamps []uint32
+	epoch  uint32
 	// scoreOps counts edge score evaluations performed with this scratch
 	// (each evaluation covers all allowed partitions).
 	scoreOps int64
@@ -55,10 +59,27 @@ func newScoreScratch(k, nparts int) *scoreScratch {
 		// accumulation scatters by word-scanning replica bitmaps, and a
 		// padded buffer lets that scan index without a per-bit k bound
 		// check (bits ≥ k are never set, but the slots must exist).
-		csCounts:    make([]float64, paddedParts(k)),
-		scores:      make([]float64, nparts),
-		seenScratch: make(map[graph.VertexID]struct{}, 64),
+		csCounts: make([]float64, paddedParts(k)),
+		scores:   make([]float64, nparts),
 	}
+}
+
+// nextEpoch starts a neighbourhood walk over window slots [0, slots): it
+// grows the stamp array to cover every slot (new stamps are zero, never a
+// live epoch) and advances the epoch. When the 32-bit epoch wraps — after
+// 2^32 walks, hundreds of millions of edges at a few score ops per edge —
+// the array is cleared, so no stamp left from the previous cycle can read
+// as current.
+func (scr *scoreScratch) nextEpoch(slots int) ([]uint32, uint32) {
+	if len(scr.stamps) < slots {
+		scr.stamps = append(scr.stamps, make([]uint32, slots-len(scr.stamps))...)
+	}
+	scr.epoch++
+	if scr.epoch == 0 {
+		clear(scr.stamps)
+		scr.epoch = 1
+	}
+	return scr.stamps, scr.epoch
 }
 
 // paddedParts rounds the partition count up to a whole number of 64-bit

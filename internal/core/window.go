@@ -47,6 +47,18 @@ import (
 // candidate scan — the per-pop cost of lazy selection — is therefore a
 // branch-light loop over a contiguous []float64 with no pointer chasing,
 // and the same holds for the Θ re-sum and the apply phases.
+//
+// # Window-local vertex slots
+//
+// The clustering score needs the window neighbourhood N(u)∪N(v) of every
+// scored edge, so the neighbourhood walk runs once per score op and must
+// not hash. Every vertex with a live window edge owns a dense slot
+// (slotOf / slotVertex), freed onto a free list and reused once its last
+// window edge leaves. Incident lists are indexed by slot and carry each
+// entry's other-endpoint slot inline, and a window entry records its two
+// endpoint slots, so a walk reads only slot lists and the scratch's
+// epoch stamps. The slot table changes only in the serial phases
+// (insertScored and remove); scoring passes only read it.
 
 type setKind uint8
 
@@ -62,6 +74,17 @@ type winEntry struct {
 	part  int     // cached argmax partition (global id)
 	kind  setKind
 	pos   int // index within its set slice, for O(1) swap-removal
+	// srcSlot / dstSlot are the window-local slots of edge.Src / edge.Dst
+	// (equal for a self-loop), fixed while the entry is live.
+	srcSlot, dstSlot int32
+}
+
+// incidence is one element of a slot's incident list: a live window entry
+// and, inline, the slot of its other endpoint (the entry's own slot for a
+// self-loop) — the only field the neighbourhood walk reads.
+type incidence struct {
+	ent   *winEntry
+	other int32
 }
 
 type window struct {
@@ -76,12 +99,18 @@ type window struct {
 	// updateScore; checkWindowInvariants asserts the sync.
 	candScores []float64
 	secScores  []float64
-	// incident maps a vertex to the window entries of its incident edges.
-	// remove compacts the popped entry's two endpoint lists immediately —
-	// removal is the only source of dead entries — so between pops the
-	// lists hold live entries only and scoring passes never re-walk
-	// garbage.
-	incident map[graph.VertexID][]*winEntry
+	// slotOf maps each vertex with a live window edge to its slot, and
+	// slotVertex maps a slot back to its vertex; freeSlots holds the
+	// slots whose last window edge left, reused before the table grows.
+	// incident[s] lists the entries incident to slot s's vertex in
+	// insertion order. remove unlinks the popped entry from its two
+	// endpoint lists immediately — removal is the only source of dead
+	// entries — so between pops the lists hold live entries only and
+	// scoring passes never re-walk garbage.
+	slotOf     map[graph.VertexID]int32
+	slotVertex []graph.VertexID
+	freeSlots  []int32
+	incident   [][]incidence
 
 	scoreSum float64 // Σ cached scores over live entries (for Θ)
 	epsilon  float64 // ε in Θ = g_avg + ε
@@ -116,12 +145,12 @@ type window struct {
 
 func newWindow(sc *scorer, pool *scorePool, epsilon float64, maxCand int, eager bool) *window {
 	return &window{
-		sc:       sc,
-		pool:     pool,
-		incident: make(map[graph.VertexID][]*winEntry, 256),
-		epsilon:  epsilon,
-		maxCand:  maxCand,
-		eager:    eager,
+		sc:      sc,
+		pool:    pool,
+		slotOf:  make(map[graph.VertexID]int32, 256),
+		epsilon: epsilon,
+		maxCand: maxCand,
+		eager:   eager,
 	}
 }
 
@@ -141,61 +170,110 @@ func (w *window) theta() float64 {
 // other-endpoints of live window edges incident to e's endpoints,
 // excluding u and v themselves. Used by the clustering score (Eq. 6); the
 // paper computes N only from window edges for scalability. Serial form
-// over the prime scratch; scoring passes use neighborsInto with
-// per-worker scratches.
+// over the prime scratch; scoring passes use freshNeighbors or
+// neighborsInto with per-worker scratches.
 func (w *window) neighbors(e graph.Edge) []graph.VertexID {
-	return w.neighborsInto(e, w.sc.prime)
+	return w.freshNeighbors(e, w.sc.prime)
 }
 
-// neighborsInto is the read-only neighbourhood collection: it walks the
-// incident lists (live-only between pops; the removed check is defensive)
-// touching only the given scratch — safe for concurrent calls with
-// distinct scratches while no one mutates the window (the compute phase
-// of a pass). The returned slice aliases scr.neighborScratch.
-func (w *window) neighborsInto(e graph.Edge, scr *scoreScratch) []graph.VertexID {
-	scr.neighborScratch = scr.neighborScratch[:0]
-	clear(scr.seenScratch)
-	scr.seenScratch[e.Src] = struct{}{}
-	scr.seenScratch[e.Dst] = struct{}{}
-	collect := func(v graph.VertexID) {
-		for _, ent := range w.incident[v] {
-			if ent.kind == removed {
-				continue
-			}
-			n := ent.edge.Other(v)
-			if _, dup := scr.seenScratch[n]; dup {
-				continue
-			}
-			scr.seenScratch[n] = struct{}{}
-			scr.neighborScratch = append(scr.neighborScratch, n)
+// freshNeighbors collects the neighbourhood of an edge that is not (yet)
+// a window entry, resolving its endpoints through the slot map. An
+// endpoint without a slot has no live window edge: it has no incident
+// list and no list names it, so it neither contributes nor needs
+// excluding.
+func (w *window) freshNeighbors(e graph.Edge, scr *scoreScratch) []graph.VertexID {
+	su, sv := int32(-1), int32(-1)
+	if s, ok := w.slotOf[e.Src]; ok {
+		su = s
+	}
+	if s, ok := w.slotOf[e.Dst]; ok {
+		sv = s
+	}
+	return w.neighborsInto(su, sv, scr)
+}
+
+// neighborsInto is the read-only neighbourhood walk over the incident
+// lists of endpoint slots su and sv (−1 for an endpoint without a slot;
+// a window entry passes its stored slots). It reads each element's
+// inline other slot and dedups through the scratch's epoch stamps — no
+// hashing, no entry dereference — touching only the given scratch, so
+// it is safe for concurrent calls with distinct scratches while no one
+// mutates the window (the compute phase of a pass). The lists hold live
+// entries only between pops. The returned slice aliases
+// scr.neighborScratch.
+func (w *window) neighborsInto(su, sv int32, scr *scoreScratch) []graph.VertexID {
+	stamps, epoch := scr.nextEpoch(len(w.slotVertex))
+	// Both endpoints are stamped before either list is walked: they are
+	// excluded from the neighbourhood.
+	if su >= 0 {
+		stamps[su] = epoch
+	}
+	if sv >= 0 {
+		stamps[sv] = epoch
+	}
+	nbs := scr.neighborScratch[:0]
+	if su >= 0 {
+		nbs = w.collectSlot(su, stamps, epoch, nbs)
+	}
+	if sv >= 0 && sv != su {
+		nbs = w.collectSlot(sv, stamps, epoch, nbs)
+	}
+	scr.neighborScratch = nbs
+	return nbs
+}
+
+// collectSlot appends the vertices of slot s's list whose other slot is
+// not yet stamped with epoch, stamping each as it goes.
+func (w *window) collectSlot(s int32, stamps []uint32, epoch uint32, nbs []graph.VertexID) []graph.VertexID {
+	for _, inc := range w.incident[s] {
+		if stamps[inc.other] == epoch {
+			continue
 		}
+		stamps[inc.other] = epoch
+		nbs = append(nbs, w.slotVertex[inc.other])
 	}
-	collect(e.Src)
-	if e.Dst != e.Src {
-		collect(e.Dst)
-	}
-	return scr.neighborScratch
+	return nbs
 }
 
-// iterIncident returns the live entries incident to v, compacting removed
-// entries in place. Serial paths only — it mutates the incident map.
-func (w *window) iterIncident(v graph.VertexID) []*winEntry {
-	list, ok := w.incident[v]
-	if !ok {
-		return nil
+// acquireSlot returns v's slot, giving v a free slot (or a new one) if it
+// has no live window edge. Serial insertion only — it mutates the slot
+// table.
+func (w *window) acquireSlot(v graph.VertexID) int32 {
+	if s, ok := w.slotOf[v]; ok {
+		return s
 	}
+	var s int32
+	if n := len(w.freeSlots); n > 0 {
+		s = w.freeSlots[n-1]
+		w.freeSlots = w.freeSlots[:n-1]
+		w.slotVertex[s] = v
+	} else {
+		s = int32(len(w.slotVertex))
+		w.slotVertex = append(w.slotVertex, v)
+		w.incident = append(w.incident, nil)
+	}
+	w.slotOf[v] = s
+	return s
+}
+
+// unlink drops ent from slot s's incident list, keeping the order of the
+// rest, and frees the slot when the list empties. Serial removal only —
+// it mutates the slot table.
+func (w *window) unlink(s int32, ent *winEntry) {
+	list := w.incident[s]
 	live := list[:0]
-	for _, ent := range list {
-		if ent.kind != removed {
-			live = append(live, ent)
+	for _, inc := range list {
+		if inc.ent != ent {
+			live = append(live, inc)
 		}
 	}
+	clear(list[len(live):]) // drop the stale entry pointer
 	if len(live) == 0 {
-		delete(w.incident, v)
-		return nil
+		delete(w.slotOf, w.slotVertex[s])
+		w.freeSlots = append(w.freeSlots, s)
+		live = nil // a hub's long list must not pin memory in a reused slot
 	}
-	w.incident[v] = live
-	return live
+	w.incident[s] = live
 }
 
 // add inserts a fresh stream edge into the window: score it once, classify
@@ -213,16 +291,17 @@ func (w *window) add(e graph.Edge) {
 // order-dependent and stays serial) and link the entry into its set and
 // the incident lists. Exactly the insertion semantics of add.
 func (w *window) insertScored(e graph.Edge, best float64, part int) {
-	ent := &winEntry{edge: e, score: best, part: part}
+	su, sv := w.acquireSlot(e.Src), w.acquireSlot(e.Dst)
+	ent := &winEntry{edge: e, score: best, part: part, srcSlot: su, dstSlot: sv}
 	if w.eager || (best > w.theta() && len(w.candidates) < w.maxCand) {
 		w.pushCandidate(ent)
 	} else {
 		w.pushSecondary(ent)
 	}
 	w.scoreSum += best
-	w.incident[e.Src] = append(w.incident[e.Src], ent)
-	if e.Dst != e.Src {
-		w.incident[e.Dst] = append(w.incident[e.Dst], ent)
+	w.incident[su] = append(w.incident[su], incidence{ent: ent, other: sv})
+	if sv != su {
+		w.incident[sv] = append(w.incident[sv], incidence{ent: ent, other: su})
 	}
 }
 
@@ -272,7 +351,7 @@ func (w *window) addBatch(edges []graph.Edge) bool {
 			if conflict != nil && conflict[i] {
 				continue
 			}
-			nbs := w.neighborsInto(edges[i], scr)
+			nbs := w.freshNeighbors(edges[i], scr)
 			_, best, part := view.scoreEdge(edges[i], nbs, scr)
 			scores[i], parts[i] = best, int32(part)
 		}
@@ -283,7 +362,7 @@ func (w *window) addBatch(edges []graph.Edge) bool {
 			// The edge shares an endpoint with an earlier batch edge: its
 			// neighbourhood includes entries inserted moments ago, so
 			// score it here, at its stream position, like add would.
-			nbs := w.neighborsInto(e, w.sc.prime)
+			nbs := w.freshNeighbors(e, w.sc.prime)
 			_, best, part := view.scoreEdge(e, nbs, w.sc.prime)
 			w.insertScored(e, best, part)
 			continue
@@ -364,17 +443,18 @@ func (w *window) detach(ent *winEntry) {
 	*scores = sc[:last]
 }
 
-// remove detaches ent and marks it dead, compacting its two endpoint
-// incident lists on the spot: removal is the only source of dead list
-// entries, so eager compaction here keeps every later walk — including
-// the sharded compute phases — free of removed entries.
+// remove detaches ent and marks it dead, unlinking it from its two
+// endpoint incident lists on the spot (and freeing an endpoint slot whose
+// list empties): removal is the only source of dead list entries, so
+// eager compaction here keeps every later walk — including the sharded
+// compute phases — free of removed entries.
 func (w *window) remove(ent *winEntry) {
 	w.detach(ent)
 	ent.kind = removed
 	w.scoreSum -= ent.score
-	w.iterIncident(ent.edge.Src)
-	if ent.edge.Dst != ent.edge.Src {
-		w.iterIncident(ent.edge.Dst)
+	w.unlink(ent.srcSlot, ent)
+	if ent.dstSlot != ent.srcSlot {
+		w.unlink(ent.dstSlot, ent)
 	}
 }
 
@@ -433,8 +513,9 @@ func (w *window) scoreAll(ents []*winEntry, view *scoreView, scores []float64, p
 			scr = w.pool.scratch[shard]
 		}
 		for i := lo; i < hi; i++ {
-			nbs := w.neighborsInto(ents[i].edge, scr)
-			_, best, part := view.scoreEdge(ents[i].edge, nbs, scr)
+			ent := ents[i]
+			nbs := w.neighborsInto(ent.srcSlot, ent.dstSlot, scr)
+			_, best, part := view.scoreEdge(ent.edge, nbs, scr)
 			scores[i], parts[i] = best, int32(part)
 		}
 	})
@@ -499,7 +580,7 @@ func (w *window) popFreshFrom(set []*winEntry, scores []float64) (graph.Edge, in
 	idx, _ := w.pool.topTwoCached(scores)
 	best := set[idx]
 	view := w.sc.view()
-	_, fresh, part := view.scoreEdge(best.edge, w.neighborsInto(best.edge, w.sc.prime), w.sc.prime)
+	_, fresh, part := view.scoreEdge(best.edge, w.neighborsInto(best.srcSlot, best.dstSlot, w.sc.prime), w.sc.prime)
 	w.updateScore(best, fresh, part)
 	w.remove(best)
 	return best.edge, part, fresh, true
@@ -523,7 +604,7 @@ func (w *window) selectLazy() *winEntry {
 		}
 		idx, second := w.pool.topTwoCached(w.candScores)
 		best := w.candidates[idx]
-		_, fresh, part := view.scoreEdge(best.edge, w.neighborsInto(best.edge, w.sc.prime), w.sc.prime)
+		_, fresh, part := view.scoreEdge(best.edge, w.neighborsInto(best.srcSlot, best.dstSlot, w.sc.prime), w.sc.prime)
 		w.updateScore(best, fresh, part)
 		if fresh >= second || len(w.candidates) == 1 {
 			return best
@@ -601,11 +682,18 @@ func (w *window) reassess(v graph.VertexID) {
 	w.reassessments++
 	theta := w.theta()
 	view := w.sc.view()
-	for _, ent := range w.iterIncident(v) {
+	s, ok := w.slotOf[v]
+	if !ok {
+		return
+	}
+	// Promotion and score refreshes leave the incident lists untouched,
+	// so the walk may range over v's list directly.
+	for _, inc := range w.incident[s] {
+		ent := inc.ent
 		if ent.kind != inSecondary || len(w.candidates) >= w.maxCand {
 			continue
 		}
-		nbs := w.neighborsInto(ent.edge, w.sc.prime)
+		nbs := w.neighborsInto(ent.srcSlot, ent.dstSlot, w.sc.prime)
 		_, score, part := view.scoreEdge(ent.edge, nbs, w.sc.prime)
 		w.updateScore(ent, score, part)
 		if score > theta {

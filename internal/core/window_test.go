@@ -173,7 +173,7 @@ func TestWindowIncidentCompaction(t *testing.T) {
 	e2 := graph.Edge{Src: 1, Dst: 3}
 	w.add(e1)
 	w.add(e2)
-	// Pop both; incident lists must compact to empty on next access.
+	// Pop both; every endpoint's list empties and its slot is freed.
 	for i := 0; i < 2; i++ {
 		e, p, _, ok := w.popBest()
 		if !ok {
@@ -181,11 +181,16 @@ func TestWindowIncidentCompaction(t *testing.T) {
 		}
 		sc.commit(e, p)
 	}
-	if live := w.iterIncident(1); len(live) != 0 {
-		t.Errorf("incident(1) = %d live entries after removal", len(live))
+	if s, ok := w.slotOf[1]; ok {
+		t.Errorf("vertex 1 still maps to slot %d (%d entries) after its last edge left", s, len(w.incident[s]))
 	}
-	if _, ok := w.incident[1]; ok {
-		t.Error("incident map entry for vertex 1 not deleted after compaction")
+	if len(w.slotOf) != 0 || len(w.freeSlots) != len(w.slotVertex) {
+		t.Errorf("%d slots mapped, %d of %d free after draining", len(w.slotOf), len(w.freeSlots), len(w.slotVertex))
+	}
+	// A new edge reuses a freed slot instead of growing the table.
+	w.add(graph.Edge{Src: 7, Dst: 8})
+	if len(w.slotVertex) != 3 {
+		t.Errorf("slot table grew to %d after reuse, want 3", len(w.slotVertex))
 	}
 }
 
