@@ -85,7 +85,7 @@ func checkSlotTable(t *testing.T, w *window, live map[*winEntry]bool) {
 			t.Fatalf("free slot %d outside [0,%d)", s, nslots)
 		}
 		if state[s] != 0 {
-			t.Fatalf("free slot %d is also %s", s, map[byte]string{'l': "mapped", 'f': "free"}[state[s]])
+			t.Fatalf("free slot %d is mapped or listed free twice", s)
 		}
 		state[s] = 'f'
 		if len(w.incident[s]) != 0 {
@@ -102,11 +102,11 @@ func checkSlotTable(t *testing.T, w *window, live map[*winEntry]bool) {
 	}
 
 	for ent := range live {
-		if w.slotOf[ent.edge.Src] != ent.srcSlot || w.slotVertex[ent.srcSlot] != ent.edge.Src {
-			t.Fatalf("entry %v stores src slot %d, vertex %v has slot %d", ent.edge, ent.srcSlot, ent.edge.Src, w.slotOf[ent.edge.Src])
+		if s, ok := w.slotOf[ent.edge.Src]; !ok || s != ent.srcSlot {
+			t.Fatalf("entry %v stores src slot %d, vertex %v has slot %d (mapped %v)", ent.edge, ent.srcSlot, ent.edge.Src, s, ok)
 		}
-		if w.slotOf[ent.edge.Dst] != ent.dstSlot || w.slotVertex[ent.dstSlot] != ent.edge.Dst {
-			t.Fatalf("entry %v stores dst slot %d, vertex %v has slot %d", ent.edge, ent.dstSlot, ent.edge.Dst, w.slotOf[ent.edge.Dst])
+		if s, ok := w.slotOf[ent.edge.Dst]; !ok || s != ent.dstSlot {
+			t.Fatalf("entry %v stores dst slot %d, vertex %v has slot %d (mapped %v)", ent.edge, ent.dstSlot, ent.edge.Dst, s, ok)
 		}
 	}
 
