@@ -112,7 +112,7 @@ func Memory(cfg Config) (*Table, error) {
 		rf := metrics.Summarize(a).ReplicationDegree
 		// The budget may floor at the minimum table; the cache's own
 		// effective budget is authoritative for the envelope check.
-		effective := vcache.NewBounded(cfg.K, budget).Budget()
+		effective := vcache.New(cfg.K, budget).Budget()
 		if st.PeakCacheBytes > effective {
 			return nil, fmt.Errorf("bench: memory budget=%s: peak %s exceeds effective budget %s",
 				vcache.FormatBytes(budget), vcache.FormatBytes(st.PeakCacheBytes), vcache.FormatBytes(effective))

@@ -178,14 +178,14 @@ func WithRefillBatch(n int) Option {
 }
 
 // WithVertexBudget caps the byte footprint of the vertex state. The
-// default (0, or negative) keeps the unbounded cache, whose memory grows
-// with the number of distinct vertices. A positive budget swaps in the
-// bounded cache (vcache.Bounded): when the table would outgrow the budget
-// it evicts low-partial-degree vertices HEP-style instead of growing, so
-// memory stays fixed while scoring treats evicted vertices as unseen —
-// replication quality degrades gracefully on power-law graphs (see the
-// bench memory experiment). Eviction makes assignments depend on the
-// budget; runs with the same positive budget remain deterministic.
+// default (0, or negative) leaves the cache unbounded, so its memory grows
+// with the number of distinct vertices. Under a positive budget the cache
+// (vcache.Cache) evicts low-partial-degree vertices HEP-style when the
+// table would outgrow the budget instead of growing, so memory stays fixed
+// while scoring treats evicted vertices as unseen — replication quality
+// degrades gracefully on power-law graphs (see the bench memory
+// experiment). Eviction makes assignments depend on the budget; runs with
+// the same positive budget remain deterministic.
 func WithVertexBudget(bytes int64) Option {
 	return func(c *config) { c.vertexBudget = bytes }
 }
@@ -208,7 +208,7 @@ func WithScorePool(p *scorepool.Pool) Option {
 type Adwise struct {
 	cfg    config
 	parts  []int
-	cache  vcache.VertexState
+	cache  *vcache.Cache
 	scorer *scorer
 	win    *window
 	stats  RunStats
@@ -330,7 +330,7 @@ func New(k int, opts ...Option) (*Adwise, error) {
 			parts[i] = i
 		}
 	}
-	cache := vcache.Build(vcache.Options{K: k, BudgetBytes: cfg.vertexBudget})
+	cache := vcache.New(k, cfg.vertexBudget)
 	sc := newScorer(cache, parts, cfg)
 	maxCand := cfg.maxCandidates
 	if !cfg.lazy {
@@ -360,7 +360,7 @@ func New(k int, opts ...Option) (*Adwise, error) {
 }
 
 // Cache exposes the vertex state (for metrics and tests).
-func (a *Adwise) Cache() vcache.VertexState { return a.cache }
+func (a *Adwise) Cache() *vcache.Cache { return a.cache }
 
 // Stats returns the statistics of the completed Run.
 func (a *Adwise) Stats() RunStats { return a.stats }
@@ -404,7 +404,7 @@ func (a *Adwise) Run(s stream.Stream) (*metrics.Assignment, error) {
 
 	// Pre-size the vertex table from the same edge-count hint that sizes
 	// the assignment, so known-length streams skip the doubling rehashes
-	// (a bounded cache clamps the reservation to its budget).
+	// (a budgeted cache clamps the reservation to its budget).
 	a.cache.Reserve(vcache.VerticesHintForEdges(hint))
 
 	asn := metrics.NewAssignment(a.cfg.k, int(hint))

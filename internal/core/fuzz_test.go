@@ -44,11 +44,11 @@ func FuzzWindowOps(f *testing.F) {
 			allowed[p] = true
 		}
 
-		var cache vcache.VertexState = vcache.New(k)
+		var budget int64
 		if flags&4 != 0 {
-			cache = vcache.NewBounded(k, 1)
+			budget = 1
 		}
-		sc := newScorer(cache, parts, config{
+		sc := newScorer(vcache.New(k, budget), parts, config{
 			initialLambda: DefaultInitialLambda,
 			lambdaMin:     DefaultLambdaMin,
 			lambdaMax:     DefaultLambdaMax,

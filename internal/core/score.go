@@ -103,7 +103,7 @@ func paddedParts(k int) int { return (k + 63) / 64 * 64 }
 // same operation order as the historical per-edge form, so pass scores
 // are bit-identical.
 type scoreView struct {
-	cache vcache.VertexState // read-only during the pass
+	cache *vcache.Cache // read-only during the pass
 	parts []int
 
 	// balance[i] = λ·B(parts[i]), fixed for the pass. Aliases the minting
@@ -221,7 +221,7 @@ func scatterReplica(scores []float64, partIdx []int32, words []uint64, addend fl
 // adaptive balancing weight λ. It is the pass-boundary owner of scoring:
 // views are minted per pass, and the prime scratch backs the serial paths.
 type scorer struct {
-	cache vcache.VertexState
+	cache *vcache.Cache
 	parts []int // allowed partitions (spotlight spread)
 
 	lambda     float64
@@ -246,7 +246,7 @@ type scorer struct {
 	partIdx []int32
 }
 
-func newScorer(cache vcache.VertexState, parts []int, cfg config) *scorer {
+func newScorer(cache *vcache.Cache, parts []int, cfg config) *scorer {
 	partIdx := make([]int32, paddedParts(cache.K()))
 	for i := range partIdx {
 		partIdx[i] = -1

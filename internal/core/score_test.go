@@ -11,7 +11,7 @@ import (
 // newTestScorer builds a scorer over k partitions with the given fixed λ
 // and clustering toggle, exposing the cache for direct manipulation.
 func newTestScorer(k int, lambda float64, clustering bool, totalEdges int64) (*scorer, *vcache.Cache) {
-	cache := vcache.New(k)
+	cache := vcache.New(k, 0)
 	parts := make([]int, k)
 	for i := range parts {
 		parts[i] = i

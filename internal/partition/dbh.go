@@ -17,7 +17,7 @@ import (
 type DBH struct {
 	cfg   Config
 	parts []int
-	cache vcache.VertexState
+	cache *vcache.Cache
 }
 
 // NewDBH returns a DBH partitioner.
@@ -32,7 +32,7 @@ func NewDBH(cfg Config) (*DBH, error) {
 func (d *DBH) Name() string { return "dbh" }
 
 // Cache implements Partitioner.
-func (d *DBH) Cache() vcache.VertexState { return d.cache }
+func (d *DBH) Cache() *vcache.Cache { return d.cache }
 
 // Assign implements Partitioner.
 func (d *DBH) Assign(e graph.Edge) int {

@@ -17,7 +17,7 @@ import (
 type Greedy struct {
 	cfg   Config
 	parts []int
-	cache vcache.VertexState
+	cache *vcache.Cache
 	// scratch buffer reused across assignments to avoid per-edge allocs
 	cand []int
 }
@@ -39,7 +39,7 @@ func NewGreedy(cfg Config) (*Greedy, error) {
 func (g *Greedy) Name() string { return "greedy" }
 
 // Cache implements Partitioner.
-func (g *Greedy) Cache() vcache.VertexState { return g.cache }
+func (g *Greedy) Cache() *vcache.Cache { return g.cache }
 
 // Assign implements Partitioner.
 func (g *Greedy) Assign(e graph.Edge) int {

@@ -14,7 +14,7 @@ import (
 type Grid struct {
 	cfg   Config
 	parts []int
-	cache vcache.VertexState
+	cache *vcache.Cache
 	r, c  int
 	cand  []int
 }
@@ -40,7 +40,7 @@ func NewGrid(cfg Config) (*Grid, error) {
 func (g *Grid) Name() string { return "grid" }
 
 // Cache implements Partitioner.
-func (g *Grid) Cache() vcache.VertexState { return g.cache }
+func (g *Grid) Cache() *vcache.Cache { return g.cache }
 
 // cell returns the grid cell (row, col) vertex v hashes to.
 func (g *Grid) cell(v graph.VertexID) (row, col int) {

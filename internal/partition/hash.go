@@ -13,7 +13,7 @@ import (
 type Hash struct {
 	cfg   Config
 	parts []int
-	cache vcache.VertexState
+	cache *vcache.Cache
 }
 
 // NewHash returns a Hash partitioner.
@@ -28,7 +28,7 @@ func NewHash(cfg Config) (*Hash, error) {
 func (h *Hash) Name() string { return "hash" }
 
 // Cache implements Partitioner.
-func (h *Hash) Cache() vcache.VertexState { return h.cache }
+func (h *Hash) Cache() *vcache.Cache { return h.cache }
 
 // Assign implements Partitioner.
 func (h *Hash) Assign(e graph.Edge) int {
@@ -44,7 +44,7 @@ func (h *Hash) Assign(e graph.Edge) int {
 type OneDim struct {
 	cfg   Config
 	parts []int
-	cache vcache.VertexState
+	cache *vcache.Cache
 }
 
 // NewOneDim returns a 1D partitioner.
@@ -59,7 +59,7 @@ func NewOneDim(cfg Config) (*OneDim, error) {
 func (o *OneDim) Name() string { return "1d" }
 
 // Cache implements Partitioner.
-func (o *OneDim) Cache() vcache.VertexState { return o.cache }
+func (o *OneDim) Cache() *vcache.Cache { return o.cache }
 
 // Assign implements Partitioner.
 func (o *OneDim) Assign(e graph.Edge) int {
@@ -75,7 +75,7 @@ func (o *OneDim) Assign(e graph.Edge) int {
 type TwoDim struct {
 	cfg    Config
 	parts  []int
-	cache  vcache.VertexState
+	cache  *vcache.Cache
 	r, c   int
 	seedRe uint64
 }
@@ -112,7 +112,7 @@ func gridShape(n int) (r, c int) {
 func (t *TwoDim) Name() string { return "2d" }
 
 // Cache implements Partitioner.
-func (t *TwoDim) Cache() vcache.VertexState { return t.cache }
+func (t *TwoDim) Cache() *vcache.Cache { return t.cache }
 
 // Assign implements Partitioner.
 func (t *TwoDim) Assign(e graph.Edge) int {

@@ -31,7 +31,7 @@ type HDRF struct {
 	cfg    Config
 	lambda float64
 	parts  []int
-	cache  vcache.VertexState
+	cache  *vcache.Cache
 }
 
 // NewHDRF returns an HDRF partitioner with balancing weight lambda
@@ -50,7 +50,7 @@ func NewHDRF(cfg Config, lambda float64) (*HDRF, error) {
 func (h *HDRF) Name() string { return "hdrf" }
 
 // Cache implements Partitioner.
-func (h *HDRF) Cache() vcache.VertexState { return h.cache }
+func (h *HDRF) Cache() *vcache.Cache { return h.cache }
 
 // Lambda returns the configured balancing weight.
 func (h *HDRF) Lambda() float64 { return h.lambda }

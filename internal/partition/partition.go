@@ -28,7 +28,7 @@ type Partitioner interface {
 	// vertex cache. The returned partition is in [0, K).
 	Assign(e graph.Edge) int
 	// Cache exposes the partitioner's vertex state.
-	Cache() vcache.VertexState
+	Cache() *vcache.Cache
 }
 
 // Config carries the settings shared by all streaming partitioners.
@@ -42,8 +42,9 @@ type Config struct {
 	// Seed drives the hash functions of the hashing strategies.
 	Seed uint64
 	// VertexBudgetBytes caps the byte footprint of the vertex state. 0
-	// (the default) keeps the unbounded cache; a positive budget swaps in
-	// the bounded, evicting cache (see vcache.Bounded).
+	// (the default) leaves the cache unbounded; a positive budget makes it
+	// evict low-degree vertices instead of outgrowing the budget (see
+	// vcache.Cache).
 	VertexBudgetBytes int64
 }
 
@@ -62,8 +63,8 @@ func (c Config) validate() error {
 // newCache builds the vertex state the config describes — the single
 // construction path every strategy shares, so the budget knob applies
 // uniformly.
-func (c Config) newCache() vcache.VertexState {
-	return vcache.Build(vcache.Options{K: c.K, BudgetBytes: c.VertexBudgetBytes})
+func (c Config) newCache() *vcache.Cache {
+	return vcache.New(c.K, c.VertexBudgetBytes)
 }
 
 // allowed returns the effective allowed-partition list.
@@ -89,7 +90,7 @@ func Run(s stream.Stream, p Partitioner) (*metrics.Assignment, error) {
 	hint := s.Remaining()
 	if hint >= 0 {
 		// Known-length stream: pre-size the vertex table too, so the pass
-		// skips the doubling rehashes (a bounded state clamps this to its
+		// skips the doubling rehashes (a budgeted cache clamps this to its
 		// budget).
 		p.Cache().Reserve(vcache.VerticesHintForEdges(hint))
 	} else {
@@ -121,7 +122,7 @@ func hashEdge(seed uint64, e graph.Edge) uint64 {
 
 // leastLoaded returns the partition with the smallest size among parts,
 // breaking ties by lower partition id. parts must be non-empty.
-func leastLoaded(c vcache.VertexState, parts []int) int {
+func leastLoaded(c *vcache.Cache, parts []int) int {
 	best := parts[0]
 	bestSize := c.Size(best)
 	for _, p := range parts[1:] {

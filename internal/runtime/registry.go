@@ -45,7 +45,7 @@ type Spec struct {
 	// Any value yields identical assignments.
 	ScoreWorkers int
 	// VertexBudgetBytes caps the byte footprint of the instance's vertex
-	// state; 0 keeps the unbounded cache. Under the spotlight conveniences
+	// state; 0 leaves it unbounded. Under the spotlight conveniences
 	// a run-level budget is divided across the z instances
 	// (splitVertexBudget), since all z caches coexist for the run.
 	VertexBudgetBytes int64

@@ -2,7 +2,6 @@ package vcache
 
 import (
 	"testing"
-	"testing/quick"
 
 	"github.com/adwise-go/adwise/internal/bitset"
 	"github.com/adwise-go/adwise/internal/graph"
@@ -10,36 +9,40 @@ import (
 
 // driveChain assigns a chain of n edges round-robin over k partitions —
 // n+1 distinct vertices, enough to force growth or eviction.
-func driveChain(s VertexState, k, n int) {
+func driveChain(c *Cache, k, n int) {
 	for i := 0; i < n; i++ {
-		s.Assign(graph.Edge{Src: graph.VertexID(i), Dst: graph.VertexID(i + 1)}, i%k)
+		c.Assign(graph.Edge{Src: graph.VertexID(i), Dst: graph.VertexID(i + 1)}, i%k)
 	}
 }
 
-// TestNewWithHintSkipsRehashes pins the capacity-hint contract: a cache
-// pre-sized for the stream's vertex count never rehashes on the way up,
-// while an unhinted cache pays one doubling per load-factor crossing.
-func TestNewWithHintSkipsRehashes(t *testing.T) {
+// TestReserveSkipsRehashes pins the capacity-hint contract: a fresh cache
+// reserved for the stream's vertex count rehashes once, for the
+// reservation, and never again on the way up, while an unreserved cache
+// pays one doubling per load-factor crossing.
+func TestReserveSkipsRehashes(t *testing.T) {
 	const k, n = 4, 50_000
-	hinted := NewWithHint(k, n+1)
-	driveChain(hinted, k, n)
-	if got := hinted.Rehashes(); got != 0 {
-		t.Errorf("hinted cache rehashed %d times, want 0", got)
+	reserved := New(k, 0)
+	reserved.Reserve(n + 1)
+	after := reserved.Rehashes()
+	driveChain(reserved, k, n)
+	if got := reserved.Rehashes(); got != after {
+		t.Errorf("reserved cache rehashed %d more times, want 0", got-after)
 	}
-	unhinted := New(k)
-	driveChain(unhinted, k, n)
-	if got := unhinted.Rehashes(); got == 0 {
-		t.Error("unhinted cache never rehashed over 50k inserts (hint test is vacuous)")
+	unreserved := New(k, 0)
+	driveChain(unreserved, k, n)
+	if got := unreserved.Rehashes(); got <= after {
+		t.Errorf("unreserved cache rehashed %d times over 50k inserts (reserve test is vacuous)", got)
 	}
-	if hinted.Vertices() != unhinted.Vertices() || hinted.Assigned() != unhinted.Assigned() {
-		t.Error("hinted and unhinted caches disagree on aggregates")
+	if reserved.Vertices() != unreserved.Vertices() || reserved.Assigned() != unreserved.Assigned() ||
+		reserved.Bytes() != unreserved.Bytes() {
+		t.Error("reserved and unreserved caches disagree on aggregates")
 	}
 }
 
 // TestReserveIsIdempotentAndMonotone pins Reserve semantics: shrinking
 // reservations are no-ops, growth preserves state.
 func TestReserveIsIdempotentAndMonotone(t *testing.T) {
-	c := New(4)
+	c := New(4, 0)
 	driveChain(c, 4, 100)
 	before := c.Bytes()
 	c.Reserve(10) // smaller than the current table: no-op
@@ -61,25 +64,25 @@ func TestReserveIsIdempotentAndMonotone(t *testing.T) {
 func TestBoundedHonorsBudget(t *testing.T) {
 	const k, n = 8, 200_000
 	budget := 4 * tableBytes(minSlots, 1, k) // room for a 4096-slot table
-	b := NewBounded(k, budget)
-	driveChain(b, k, n)
-	if got := b.PeakBytes(); got > b.Budget() {
-		t.Errorf("PeakBytes = %d exceeds budget %d", got, b.Budget())
+	c := New(k, budget)
+	driveChain(c, k, n)
+	if got := c.PeakBytes(); got > c.Budget() {
+		t.Errorf("PeakBytes = %d exceeds budget %d", got, c.Budget())
 	}
-	if b.EvictedVertices() == 0 {
+	if c.EvictedVertices() == 0 {
 		t.Error("no evictions under a budget 50x smaller than the stream")
 	}
-	if b.Assigned() != n {
-		t.Errorf("Assigned = %d, want %d (edge counts are exact under eviction)", b.Assigned(), n)
+	if c.Assigned() != n {
+		t.Errorf("Assigned = %d, want %d (edge counts are exact under eviction)", c.Assigned(), n)
 	}
 	var total int64
 	for p := 0; p < k; p++ {
-		total += b.Size(p)
+		total += c.Size(p)
 	}
 	if total != n {
 		t.Errorf("partition sizes sum to %d, want %d", total, n)
 	}
-	if got := uint64(b.Vertices()); got > (b.mask+1)*3/4 {
+	if got := uint64(c.Vertices()); got > (c.mask+1)*3/4 {
 		t.Errorf("live vertices %d exceed load capacity of the budgeted table", got)
 	}
 }
@@ -87,16 +90,16 @@ func TestBoundedHonorsBudget(t *testing.T) {
 // TestBoundedBudgetFloor pins that an absurdly small budget still yields
 // a working minimum table rather than a panic or a zero-slot table.
 func TestBoundedBudgetFloor(t *testing.T) {
-	b := NewBounded(4, 1)
-	if b.Budget() < tableBytes(minSlots, 1, 4) {
-		t.Errorf("Budget = %d below minimum table", b.Budget())
+	c := New(4, 1)
+	if c.Budget() < tableBytes(minSlots, 1, 4) {
+		t.Errorf("Budget = %d below minimum table", c.Budget())
 	}
-	driveChain(b, 4, 5_000)
-	if b.Assigned() != 5_000 {
-		t.Errorf("Assigned = %d, want 5000", b.Assigned())
+	driveChain(c, 4, 5_000)
+	if c.Assigned() != 5_000 {
+		t.Errorf("Assigned = %d, want 5000", c.Assigned())
 	}
-	if b.PeakBytes() > b.Budget() {
-		t.Errorf("PeakBytes %d exceeds effective budget %d", b.PeakBytes(), b.Budget())
+	if c.PeakBytes() > c.Budget() {
+		t.Errorf("PeakBytes %d exceeds effective budget %d", c.PeakBytes(), c.Budget())
 	}
 }
 
@@ -104,38 +107,38 @@ func TestBoundedBudgetFloor(t *testing.T) {
 // high-water mark survives eviction of the vertex that set it.
 func TestBoundedMaxDegreeHighWater(t *testing.T) {
 	const k = 4
-	b := NewBounded(k, 1) // minimum table: evicts hard
+	c := New(k, 1) // minimum table: evicts hard
 	// Vertex 0 reaches degree 100 (self-loops bump only the src).
 	for i := 0; i < 100; i++ {
-		b.Assign(graph.Edge{Src: 0, Dst: 0}, i%k)
+		c.Assign(graph.Edge{Src: 0, Dst: 0}, i%k)
 	}
-	if got := b.MaxDegree(); got != 100 {
+	if got := c.MaxDegree(); got != 100 {
 		t.Fatalf("MaxDegree = %d, want 100", got)
 	}
 	// The eviction ramp drops the lowest degrees first, so a flood of
 	// degree-1 vertices never touches vertex 0 — flood with degree-128
 	// vertices (each fully pumped before the next insert) so the ramp
 	// must pass vertex 0's degree to find room.
-	for v := graph.VertexID(10_000); b.Known(0) && v < 40_000; v++ {
+	for v := graph.VertexID(10_000); c.Degree(0) > 0 && v < 40_000; v++ {
 		for j := 0; j < 128; j++ {
-			b.Assign(graph.Edge{Src: v, Dst: v}, int(v)%k)
+			c.Assign(graph.Edge{Src: v, Dst: v}, int(v)%k)
 		}
 	}
-	if b.Known(0) {
+	if c.Degree(0) > 0 {
 		t.Fatal("vertex 0 never evicted under minimum budget (flood too small?)")
 	}
-	if got := b.MaxDegree(); got < 100 {
+	if got := c.MaxDegree(); got < 100 {
 		t.Errorf("MaxDegree decayed to %d after evicting its vertex, want >= 100", got)
 	}
 	// An evicted vertex re-enters as degree 1 with an empty replica set.
-	if got := b.Degree(0); got != 0 {
+	if got := c.Degree(0); got != 0 {
 		t.Errorf("Degree(0) = %d after eviction, want 0", got)
 	}
-	newSrc, _ := b.Assign(graph.Edge{Src: 0, Dst: 1}, 0)
+	newSrc, _ := c.Assign(graph.Edge{Src: 0, Dst: 1}, 0)
 	if !newSrc {
 		t.Error("re-inserted evicted vertex did not report a new replica")
 	}
-	if got := b.Degree(0); got != 1 {
+	if got := c.Degree(0); got != 1 {
 		t.Errorf("Degree(0) = %d after re-insert, want 1", got)
 	}
 }
@@ -145,22 +148,19 @@ func TestBoundedMaxDegreeHighWater(t *testing.T) {
 // seen, including LookupWords' (0, nil).
 func TestBoundedMissAsUnseen(t *testing.T) {
 	const k = 4
-	b := NewBounded(k, 1)
-	b.Assign(graph.Edge{Src: 7, Dst: 8}, 2)
-	for i := 0; b.Known(7) && i < 1<<20; i++ {
-		b.Assign(graph.Edge{Src: graph.VertexID(100 + 2*i), Dst: graph.VertexID(101 + 2*i)}, i%k)
+	c := New(k, 1)
+	c.Assign(graph.Edge{Src: 7, Dst: 8}, 2)
+	for i := 0; c.Degree(7) > 0 && i < 1<<20; i++ {
+		c.Assign(graph.Edge{Src: graph.VertexID(100 + 2*i), Dst: graph.VertexID(101 + 2*i)}, i%k)
 	}
-	if b.Known(7) {
+	if c.Degree(7) > 0 {
 		t.Fatal("vertex 7 never evicted")
 	}
-	if deg, words := b.LookupWords(7); deg != 0 || words != nil {
+	if deg, words := c.LookupWords(7); deg != 0 || words != nil {
 		t.Errorf("LookupWords(evicted) = (%d, %v), want (0, nil)", deg, words)
 	}
-	if deg, reps := b.Lookup(7); deg != 0 || !reps.Empty() {
-		t.Error("Lookup(evicted) nonzero")
-	}
-	if b.ReplicaCount(7) != 0 || b.HasReplica(7, 2) || !b.Replicas(7).Empty() {
-		t.Error("evicted vertex still reports replicas")
+	if r := c.Replicas(7); !r.Empty() || r.Cap() != 0 {
+		t.Errorf("Replicas(evicted) = %v with capacity %d, want the empty zero set", r, r.Cap())
 	}
 }
 
@@ -169,80 +169,34 @@ func TestBoundedMissAsUnseen(t *testing.T) {
 // vertices past them, and tombstone slots must be reused cleanly.
 func TestBoundedTombstoneProbing(t *testing.T) {
 	const k = 4
-	b := NewBounded(k, 1)
+	c := New(k, 1)
 	// Fill past the eviction threshold several times over, interleaving
 	// lookups of a long-chain survivor set.
 	survivors := make(map[graph.VertexID]int)
 	for i := 0; i < 40_000; i++ {
 		v := graph.VertexID(i)
-		b.Assign(graph.Edge{Src: v, Dst: v + 1}, int(v)%k)
+		c.Assign(graph.Edge{Src: v, Dst: v + 1}, int(v)%k)
 	}
 	// Whatever is held now must agree between ForEachVertex and find-based
 	// accessors — a probe bug would lose vertices behind tombstones.
-	b.ForEachVertex(func(v graph.VertexID, replicas bitset.Set) {
+	c.ForEachVertex(func(v graph.VertexID, replicas bitset.Set) {
 		survivors[v] = replicas.Count()
 	})
-	if len(survivors) != b.Vertices() {
-		t.Fatalf("ForEachVertex visited %d vertices, Vertices() = %d", len(survivors), b.Vertices())
+	if len(survivors) != c.Vertices() {
+		t.Fatalf("ForEachVertex visited %d vertices, Vertices() = %d", len(survivors), c.Vertices())
 	}
 	for v, rc := range survivors {
-		if !b.Known(v) {
-			t.Fatalf("vertex %d visited by ForEachVertex but not Known (probe lost it behind a tombstone)", v)
+		if c.Degree(v) < 1 {
+			t.Fatalf("vertex %d visited by ForEachVertex but not held (probe lost it behind a tombstone)", v)
 		}
-		if got := b.ReplicaCount(v); got != rc {
-			t.Fatalf("vertex %d: ReplicaCount %d != ForEachVertex view %d", v, got, rc)
+		if got := c.Replicas(v).Count(); got != rc {
+			t.Fatalf("vertex %d: |Replicas| %d != ForEachVertex view %d", v, got, rc)
 		}
 	}
 	// Live slots + tombstones never exceed the table, and the load-factor
 	// invariant that bounds probe chains holds.
-	if uint64(b.live+b.dead)*4 > (b.mask+1)*3+4 {
-		t.Errorf("occupied slots %d exceed 3/4 of %d-slot table", b.live+b.dead, b.mask+1)
-	}
-}
-
-// TestBoundedUnlimitedMatchesCache is the layer-level equivalence
-// property: with no budget, Bounded and Cache are observably identical
-// under any assignment sequence (the engine-level edge-for-edge test
-// lives in internal/core).
-func TestBoundedUnlimitedMatchesCache(t *testing.T) {
-	f := func(pairs []uint16) bool {
-		const k = 8
-		c := New(k)
-		b := NewBounded(k, 0) // unlimited
-		for i, pr := range pairs {
-			e := graph.Edge{
-				Src: graph.VertexID(pr % 97),
-				Dst: graph.VertexID((pr >> 8) % 97),
-			}
-			cs, cd := c.Assign(e, i%k)
-			bs, bd := b.Assign(e, i%k)
-			if cs != bs || cd != bd {
-				return false
-			}
-		}
-		if c.Vertices() != b.Vertices() || c.Assigned() != b.Assigned() ||
-			c.MaxDegree() != b.MaxDegree() || c.SumReplicas() != b.SumReplicas() {
-			return false
-		}
-		for v := graph.VertexID(0); v < 97; v++ {
-			cDeg, cWords := c.LookupWords(v)
-			bDeg, bWords := b.LookupWords(v)
-			if cDeg != bDeg || (cWords == nil) != (bWords == nil) {
-				return false
-			}
-			for w := range cWords {
-				if cWords[w] != bWords[w] {
-					return false
-				}
-			}
-		}
-		if b.EvictedVertices() != 0 {
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
+	if uint64(c.live+c.dead)*4 > (c.mask+1)*3+4 {
+		t.Errorf("occupied slots %d exceed 3/4 of %d-slot table", c.live+c.dead, c.mask+1)
 	}
 }
 
@@ -251,13 +205,13 @@ func TestBoundedUnlimitedMatchesCache(t *testing.T) {
 func TestBoundedReserveClampsToBudget(t *testing.T) {
 	const k = 4
 	budget := 4 * tableBytes(minSlots, 1, k)
-	b := NewBounded(k, budget)
-	b.Reserve(1 << 20)
-	if b.Bytes() > b.Budget() {
-		t.Errorf("Reserve grew table to %d bytes past budget %d", b.Bytes(), b.Budget())
+	c := New(k, budget)
+	c.Reserve(1 << 20)
+	if c.Bytes() > c.Budget() {
+		t.Errorf("Reserve grew table to %d bytes past budget %d", c.Bytes(), c.Budget())
 	}
-	if b.PeakBytes() > b.Budget() {
-		t.Errorf("PeakBytes %d past budget %d after Reserve", b.PeakBytes(), b.Budget())
+	if c.PeakBytes() > c.Budget() {
+		t.Errorf("PeakBytes %d past budget %d after Reserve", c.PeakBytes(), c.Budget())
 	}
 }
 
@@ -272,22 +226,6 @@ func TestVerticesHintForEdges(t *testing.T) {
 		if got := VerticesHintForEdges(tc.edges); got != tc.want {
 			t.Errorf("VerticesHintForEdges(%d) = %d, want %d", tc.edges, got, tc.want)
 		}
-	}
-}
-
-func TestBuildSelectsImplementation(t *testing.T) {
-	if _, ok := Build(Options{K: 4}).(*Cache); !ok {
-		t.Error("Build without budget did not return *Cache")
-	}
-	if _, ok := Build(Options{K: 4, VerticesHint: 5000}).(*Cache); !ok {
-		t.Error("Build with hint did not return *Cache")
-	}
-	b, ok := Build(Options{K: 4, BudgetBytes: 1 << 20, VerticesHint: 5000}).(*Bounded)
-	if !ok {
-		t.Fatal("Build with budget did not return *Bounded")
-	}
-	if b.Bytes() > b.Budget() {
-		t.Error("Build-reserved bounded table exceeds budget")
 	}
 }
 

@@ -14,11 +14,11 @@ func TestNewPanicsOnBadK(t *testing.T) {
 			t.Error("New(0) did not panic")
 		}
 	}()
-	New(0)
+	New(0, 0)
 }
 
 func TestAssignTracksReplicasAndDegrees(t *testing.T) {
-	c := New(4)
+	c := New(4, 0)
 	e := graph.Edge{Src: 1, Dst: 2}
 
 	newSrc, newDst := c.Assign(e, 0)
@@ -37,11 +37,11 @@ func TestAssignTracksReplicasAndDegrees(t *testing.T) {
 	if got := c.Degree(1); got != 3 {
 		t.Errorf("Degree(1) = %d, want 3", got)
 	}
-	if got := c.ReplicaCount(1); got != 2 {
-		t.Errorf("ReplicaCount(1) = %d, want 2", got)
+	if got := c.Replicas(1).Count(); got != 2 {
+		t.Errorf("|Replicas(1)| = %d, want 2", got)
 	}
-	if !c.HasReplica(1, 0) || !c.HasReplica(1, 3) || c.HasReplica(1, 2) {
-		t.Error("HasReplica wrong")
+	if r := c.Replicas(1); !r.Contains(0) || !r.Contains(3) || r.Contains(2) {
+		t.Errorf("Replicas(1) = %v, want {0, 3}", r)
 	}
 	if got := c.Assigned(); got != 3 {
 		t.Errorf("Assigned = %d, want 3", got)
@@ -55,7 +55,7 @@ func TestAssignTracksReplicasAndDegrees(t *testing.T) {
 }
 
 func TestAssignSelfLoop(t *testing.T) {
-	c := New(2)
+	c := New(2, 0)
 	newSrc, newDst := c.Assign(graph.Edge{Src: 5, Dst: 5}, 1)
 	if !newSrc {
 		t.Error("self-loop src replica not created")
@@ -69,7 +69,7 @@ func TestAssignSelfLoop(t *testing.T) {
 }
 
 func TestAssignPanicsOutOfRange(t *testing.T) {
-	c := New(2)
+	c := New(2, 0)
 	defer func() {
 		if recover() == nil {
 			t.Error("Assign to partition 2 of [0,2) did not panic")
@@ -79,57 +79,49 @@ func TestAssignPanicsOutOfRange(t *testing.T) {
 }
 
 func TestUnknownVertexDefaults(t *testing.T) {
-	c := New(3)
-	if c.Known(9) {
-		t.Error("Known(9) = true on empty cache")
-	}
+	c := New(3, 0)
 	if got := c.Degree(9); got != 0 {
 		t.Errorf("Degree(9) = %d, want 0", got)
 	}
-	if got := c.ReplicaCount(9); got != 0 {
-		t.Errorf("ReplicaCount(9) = %d, want 0", got)
+	if r := c.Replicas(9); !r.Empty() || r.Cap() != 0 {
+		t.Errorf("Replicas(9) = %v with capacity %d, want the empty zero set", r, r.Cap())
 	}
-	if !c.Replicas(9).Empty() {
-		t.Error("Replicas(9) not empty")
-	}
-	deg, reps := c.Lookup(9)
-	if deg != 0 || !reps.Empty() {
-		t.Error("Lookup(9) nonzero")
+	if deg, words := c.LookupWords(9); deg != 0 || words != nil {
+		t.Errorf("LookupWords(9) = (%d, %v), want (0, nil)", deg, words)
 	}
 	if got := c.MaxDegree(); got != 1 {
 		t.Errorf("MaxDegree on empty cache = %d, want 1 (normaliser floor)", got)
 	}
 }
 
+// TestSizesAndImbalance pins the per-partition edge counts and the
+// extrema the balance terms derive the imbalance ι = (max−min)/max from,
+// over all partitions and over a spread.
 func TestSizesAndImbalance(t *testing.T) {
-	c := New(3)
+	c := New(3, 0)
 	c.Assign(graph.Edge{Src: 0, Dst: 1}, 0)
 	c.Assign(graph.Edge{Src: 1, Dst: 2}, 0)
 	c.Assign(graph.Edge{Src: 2, Dst: 3}, 1)
 
-	min, max := c.MinMaxSize()
-	if min != 0 || max != 2 {
-		t.Errorf("MinMaxSize = %d,%d want 0,2", min, max)
+	if c.Size(0) != 2 || c.Size(1) != 1 || c.Size(2) != 0 {
+		t.Errorf("sizes = %d,%d,%d want 2,1,0", c.Size(0), c.Size(1), c.Size(2))
 	}
-	if got := c.Imbalance(); got != 1.0 {
-		t.Errorf("Imbalance = %v, want 1.0", got)
+	min, max := c.MinMaxSizeOf([]int{0, 1, 2})
+	if min != 0 || max != 2 {
+		t.Errorf("MinMaxSizeOf(all) = %d,%d want 0,2 (imbalance 1)", min, max)
 	}
 	min, max = c.MinMaxSizeOf([]int{0, 1})
 	if min != 1 || max != 2 {
 		t.Errorf("MinMaxSizeOf([0,1]) = %d,%d want 1,2", min, max)
 	}
-	sizes := c.Sizes()
-	if sizes[0] != 2 || sizes[1] != 1 || sizes[2] != 0 {
-		t.Errorf("Sizes = %v", sizes)
-	}
-	sizes[0] = 99
-	if c.Size(0) != 2 {
-		t.Error("Sizes returned aliased storage")
+	min, max = c.MinMaxSizeOf([]int{2})
+	if min != 0 || max != 0 {
+		t.Errorf("MinMaxSizeOf([2]) = %d,%d want 0,0", min, max)
 	}
 }
 
 func TestMinMaxSizeOfEmptyPanics(t *testing.T) {
-	c := New(2)
+	c := New(2, 0)
 	defer func() {
 		if recover() == nil {
 			t.Error("MinMaxSizeOf(nil) did not panic")
@@ -138,14 +130,20 @@ func TestMinMaxSizeOfEmptyPanics(t *testing.T) {
 	c.MinMaxSizeOf(nil)
 }
 
+// TestImbalanceEmptyCache pins that an empty cache reports all-zero
+// sizes, the max == 0 case the balance terms treat as no imbalance.
 func TestImbalanceEmptyCache(t *testing.T) {
-	if got := New(4).Imbalance(); got != 0 {
-		t.Errorf("Imbalance on empty cache = %v, want 0", got)
+	c := New(4, 0)
+	if min, max := c.MinMaxSizeOf([]int{0, 1, 2, 3}); min != 0 || max != 0 {
+		t.Errorf("MinMaxSizeOf on empty cache = %d,%d, want 0,0", min, max)
+	}
+	if c.Assigned() != 0 {
+		t.Errorf("Assigned on empty cache = %d, want 0", c.Assigned())
 	}
 }
 
 func TestReplicationDegree(t *testing.T) {
-	c := New(4)
+	c := New(4, 0)
 	if got := c.ReplicationDegree(); got != 0 {
 		t.Errorf("ReplicationDegree on empty = %v", got)
 	}
@@ -161,7 +159,7 @@ func TestReplicationDegree(t *testing.T) {
 }
 
 func TestForEachVertex(t *testing.T) {
-	c := New(2)
+	c := New(2, 0)
 	c.Assign(graph.Edge{Src: 0, Dst: 1}, 0)
 	c.Assign(graph.Edge{Src: 1, Dst: 2}, 1)
 	seen := make(map[graph.VertexID]int)
@@ -184,7 +182,7 @@ func TestForEachVertex(t *testing.T) {
 func TestQuickCacheInvariants(t *testing.T) {
 	f := func(pairs []uint16) bool {
 		const k = 8
-		c := New(k)
+		c := New(k, 0)
 		for i, pr := range pairs {
 			e := graph.Edge{
 				Src: graph.VertexID(pr % 50),
@@ -217,7 +215,7 @@ func TestQuickCacheInvariants(t *testing.T) {
 // aggregates survive the rehashes.
 func TestGrowthPreservesState(t *testing.T) {
 	const k, n = 8, 10_000
-	c := New(k)
+	c := New(k, 0)
 	for i := 0; i < n; i++ {
 		e := graph.Edge{Src: graph.VertexID(i), Dst: graph.VertexID(i + 1)}
 		c.Assign(e, i%k)
@@ -233,7 +231,7 @@ func TestGrowthPreservesState(t *testing.T) {
 		if got := c.Degree(graph.VertexID(v)); got != 2 {
 			t.Errorf("Degree(%d) = %d, want 2", v, got)
 		}
-		if !c.HasReplica(graph.VertexID(v), v%k) || !c.HasReplica(graph.VertexID(v), (v-1)%k) {
+		if r := c.Replicas(graph.VertexID(v)); !r.Contains(v%k) || !r.Contains((v-1)%k) {
 			t.Errorf("vertex %d lost a replica across growth", v)
 		}
 	}
@@ -247,21 +245,24 @@ func TestGrowthPreservesState(t *testing.T) {
 }
 
 // TestLookupWordsMatchesLookup pins the word-level scan access against
-// the Set-view form: same degree, same set bits — including across table
-// growth — and (0, nil) for unknown vertices. The k values straddle the
-// one-word/multi-word bitmap boundary.
+// the Set-view lookups, Degree and Replicas: same degree, same set bits —
+// including across table growth — and (0, nil) for unknown vertices. The
+// k values straddle the one-word/multi-word bitmap boundary.
 func TestLookupWordsMatchesLookup(t *testing.T) {
 	for _, k := range []int{3, 64, 130} {
-		c := New(k)
+		c := New(k, 0)
 		for i := 0; i < 5_000; i++ {
-			e := graph.Edge{Src: graph.VertexID(i % 700), Dst: graph.VertexID((i * 37) % 700)}
+			e := graph.Edge{Src: graph.VertexID(i % 1500), Dst: graph.VertexID((i * 37) % 1500)}
 			c.Assign(e, (i*13)%k)
 		}
-		for v := graph.VertexID(0); v < 700; v++ {
-			deg, set := c.Lookup(v)
+		if c.Rehashes() == 0 {
+			t.Fatalf("k=%d: the table never grew", k)
+		}
+		for v := graph.VertexID(0); v < 1500; v++ {
+			deg, set := c.Degree(v), c.Replicas(v)
 			wDeg, words := c.LookupWords(v)
 			if wDeg != deg {
-				t.Fatalf("k=%d v=%d: LookupWords degree %d, Lookup %d", k, v, wDeg, deg)
+				t.Fatalf("k=%d v=%d: LookupWords degree %d, Degree %d", k, v, wDeg, deg)
 			}
 			for p := 0; p < k; p++ {
 				inWords := words[p>>6]&(1<<(uint(p)&63)) != 0
