@@ -121,7 +121,8 @@ var (
 // ParseByteSize parses a human-readable byte size ("64MiB", "1.5g",
 // "4096") into bytes: the format of the CLI vertex-budget flags. Suffixes
 // are case-insensitive and binary (K = 1024); the empty string parses as
-// 0 (no budget).
+// 0 (no budget). Negative, non-finite and int64-overflowing sizes are
+// errors.
 func ParseByteSize(s string) (int64, error) { return vcache.ParseBytes(s) }
 
 // FormatByteSize renders a byte count human-readably with binary units

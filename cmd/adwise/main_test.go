@@ -144,6 +144,8 @@ func TestRunErrors(t *testing.T) {
 		{"-in", "/nonexistent.txt"}, // unreadable graph
 		{"-in", path, "-k", "0"},    // bad k
 		{"-in", path, "-algo", "bogus"},
+		{"-in", path, "-vcache-budget", "nan"},  // would wrap to "unlimited"
+		{"-in", path, "-vcache-budget", "1e20"}, // overflows int64
 	}
 	for _, args := range tests {
 		if err := run(args); err == nil {

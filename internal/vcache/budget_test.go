@@ -236,7 +236,7 @@ func TestParseFormatBytes(t *testing.T) {
 	}{
 		{"", 0}, {"0", 0}, {"4096", 4096}, {"1k", 1 << 10}, {"1KiB", 1 << 10},
 		{"64MiB", 64 << 20}, {"64mb", 64 << 20}, {"1.5g", 3 << 29}, {"2TiB", 2 << 40},
-		{" 512 MiB ", 512 << 20},
+		{" 512 MiB ", 512 << 20}, {"8388607TiB", (1<<23 - 1) << 40},
 	}
 	for _, tc := range cases {
 		got, err := ParseBytes(tc.in)
@@ -244,7 +244,13 @@ func TestParseFormatBytes(t *testing.T) {
 			t.Errorf("ParseBytes(%q) = %d, %v; want %d", tc.in, got, err, tc.want)
 		}
 	}
-	for _, bad := range []string{"x", "-1", "12qb", "MiB"} {
+	for _, bad := range []string{
+		"x", "-1", "12qb", "MiB",
+		// Non-finite and int64-overflowing sizes must not wrap to a
+		// non-positive value, which would mean "unlimited".
+		"nan", "NaN", "inf", "+Inf", "-inf", "Infinity", "infGiB",
+		"1e20", "1e19b", "9223372036854775808", "8388608TiB", "1e400",
+	} {
 		if _, err := ParseBytes(bad); err == nil {
 			t.Errorf("ParseBytes(%q) did not error", bad)
 		}

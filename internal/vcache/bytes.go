@@ -2,6 +2,7 @@ package vcache
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -23,7 +24,10 @@ var byteUnits = []struct {
 
 // ParseBytes parses a human-readable byte size ("64MiB", "1.5g", "4096")
 // into bytes. A bare number is bytes; suffixes are case-insensitive and
-// binary (K=1024). The empty string parses as 0 (no budget).
+// binary (K=1024). The empty string parses as 0 (no budget). Negative,
+// non-finite ("nan", "inf") and int64-overflowing sizes are errors: a
+// budget <= 0 means unlimited, so none of them may silently turn into
+// one.
 func ParseBytes(s string) (int64, error) {
 	t := strings.TrimSpace(strings.ToLower(s))
 	if t == "" {
@@ -38,10 +42,16 @@ func ParseBytes(s string) (int64, error) {
 		}
 	}
 	v, err := strconv.ParseFloat(t, 64)
-	if err != nil || v < 0 {
+	if err != nil || math.IsNaN(v) || v < 0 {
 		return 0, fmt.Errorf("vcache: invalid byte size %q", s)
 	}
-	return int64(v * float64(mult)), nil
+	// 2^63 is exact in float64, and every smaller float64 converts to
+	// int64 without overflow; +Inf compares above it.
+	n := v * float64(mult)
+	if n >= 1<<63 {
+		return 0, fmt.Errorf("vcache: byte size %q overflows int64", s)
+	}
+	return int64(n), nil
 }
 
 // FormatBytes renders a byte count human-readably with binary units
