@@ -346,7 +346,7 @@ func PartitionFileSpotlight(name, path string, cfg SpotlightConfig, spec Strateg
 }
 
 // AsRunner adapts a single-edge partitioner to a spotlight Runner.
-func AsRunner(p StreamingPartitioner) Runner { return runtime.StreamingRunner(p) }
+func AsRunner(p StreamingPartitioner) Runner { return runtime.FromPartitioner(p) }
 
 // Partition-lookup serving layer, re-exported from internal/serve: the
 // consumption side of the partitioner. A LookupIndex is an immutable,

@@ -154,10 +154,6 @@ func FromPartitionerClock(p partition.Partitioner, clk clock.Clock) Strategy {
 	return &partitionerStrategy{p: p, clk: clk}
 }
 
-// StreamingRunner is the historical name of FromPartitioner, kept for the
-// spotlight call sites that only need the Runner half.
-func StreamingRunner(p partition.Partitioner) Strategy { return FromPartitioner(p) }
-
 func (ps *partitionerStrategy) Name() string { return ps.p.Name() }
 
 func (ps *partitionerStrategy) Run(s stream.Stream) (*metrics.Assignment, error) {

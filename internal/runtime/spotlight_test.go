@@ -139,7 +139,7 @@ func TestRunSpotlightAssignsEverything(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return StreamingRunner(h), nil
+		return FromPartitioner(h), nil
 	})
 	if err != nil {
 		t.Fatal(err)
