@@ -109,8 +109,8 @@ func checkVertex(c *Cache, m *mapCache, v graph.VertexID, exact bool) error {
 			count++
 		}
 	}
-	if count != c.Replicas(v).Count() {
-		return fmt.Errorf("v%d: %d replica bits, Replicas view has %d", v, count, c.Replicas(v).Count())
+	if n := c.Replicas(v).Count(); n != count {
+		return fmt.Errorf("v%d: %d replica bits, Replicas view has %d", v, count, n)
 	}
 	if exact && count != mReps.Count() {
 		return fmt.Errorf("v%d: %d replicas, model %d", v, count, mReps.Count())
