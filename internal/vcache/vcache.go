@@ -91,15 +91,15 @@ func VerticesHintForEdges(edges int64) int {
 // scoring state, so dropping it degrades replication quality gracefully
 // while memory stays fixed.
 //
-// A vertex the cache does not hold — never seen or evicted — is
-// indistinguishable from one never seen: Degree reports 0, Replicas the
-// empty set, LookupWords (0, nil), and the next Assign re-enters it at
-// degree 1 with an empty replica set. Scoring kernels therefore treat a
-// miss as "unseen" with no extra branch. Evicted vertices become
-// tombstones (degree −1, replica words zeroed); insertions reuse the first
-// tombstone on their probe chain, and when tombstones come to dominate the
-// table (≥ 1/8 of slots at insert pressure) a same-size compaction rehash
-// drops them to keep probe chains short.
+// An evicted vertex is indistinguishable from one never seen: Degree
+// reports 0, Replicas the empty set, LookupWords (0, nil), and the next
+// Assign re-enters it at degree 1 with an empty replica set. Scoring
+// kernels therefore treat a miss as "unseen" with no extra branch.
+// Evicted vertices become tombstones (degree −1, replica words zeroed);
+// insertions reuse the first tombstone on their probe chain, and when
+// tombstones come to dominate the table (≥ 1/8 of slots at insert
+// pressure) a same-size compaction rehash drops them to keep probe chains
+// short.
 //
 // MaxDegree is a high-water mark over the whole run: it never decays, even
 // when the vertex that set it is evicted, so the replication normaliser of
