@@ -35,6 +35,11 @@ type goldenCell struct {
 	// budget selects the bounded vertex state at its floored minimum
 	// table (WithVertexBudget(1)); false keeps the unbounded cache.
 	budget bool
+	// window is the fixed window size; 0 means the matrix default of 64.
+	window int
+	// third restricts the allowed partitions to every third one
+	// (0, 3, 6, …); false allows all k.
+	third bool
 }
 
 func (c goldenCell) name() string {
@@ -48,12 +53,44 @@ func (c goldenCell) name() string {
 	if c.budget {
 		budget = "budget=floor"
 	}
-	return fmt.Sprintf("%s/k=%d/%s/%s/%s", c.graph, c.k, trav, cs, budget)
+	head := fmt.Sprintf("%s/k=%d", c.graph, c.k)
+	if c.window != 0 {
+		parts := "parts=all"
+		if c.third {
+			parts = "parts=third"
+		}
+		head += fmt.Sprintf("/w=%d/%s", c.window, parts)
+	}
+	return fmt.Sprintf("%s/%s/%s/%s", head, trav, cs, budget)
+}
+
+// windowSize returns the cell's fixed window size.
+func (c goldenCell) windowSize() int {
+	if c.window == 0 {
+		return 64
+	}
+	return c.window
+}
+
+// allowed returns the cell's allowed partitions, nil for all k.
+func (c goldenCell) allowed() []int {
+	if !c.third {
+		return nil
+	}
+	var parts []int
+	for p := 0; p < c.k; p += 3 {
+		parts = append(parts, p)
+	}
+	return parts
 }
 
 // goldenMatrix is {Zipf, RMAT} × k ∈ {1, 32, 96} × lazy/eager ×
-// clustering on/off × budget {0, floor}: 48 cells. k=96 spans two
-// replica-bitmap words; the floored budget evicts on the RMAT stream.
+// clustering on/off × budget {0, floor} at window 64: 48 cells. k=96
+// spans two replica-bitmap words; the floored budget evicts on the RMAT
+// stream. Eight hub-heavy cells follow: the Zipf stream at window 1024,
+// lazy, clustering on, × k ∈ {32, 96} × allowed {all, every third} ×
+// budget {0, floor}, whose large window neighbourhoods drive the
+// clustering score through the maintained neighbour counts.
 func goldenMatrix() []goldenCell {
 	var cells []goldenCell
 	for _, g := range []string{"zipf", "rmat"} {
@@ -61,9 +98,16 @@ func goldenMatrix() []goldenCell {
 			for _, eager := range []bool{false, true} {
 				for _, clustering := range []bool{true, false} {
 					for _, budget := range []bool{false, true} {
-						cells = append(cells, goldenCell{g, k, eager, clustering, budget})
+						cells = append(cells, goldenCell{graph: g, k: k, eager: eager, clustering: clustering, budget: budget})
 					}
 				}
+			}
+		}
+	}
+	for _, k := range []int{32, 96} {
+		for _, third := range []bool{false, true} {
+			for _, budget := range []bool{false, true} {
+				cells = append(cells, goldenCell{graph: "zipf", k: k, clustering: true, budget: budget, window: 1024, third: third})
 			}
 		}
 	}
@@ -103,14 +147,15 @@ func assignmentDigest(a *metrics.Assignment) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// runGoldenCell partitions the cell's stream with a fixed window of 64 on
-// two score shards and a fake clock, returning the cell's digest line and
-// the run stats.
+// runGoldenCell partitions the cell's stream with the cell's fixed window
+// on two score shards and a fake clock, returning the cell's digest line
+// and the run stats.
 func runGoldenCell(t *testing.T, c goldenCell, edges []graph.Edge) (string, RunStats) {
 	t.Helper()
 	opts := []Option{
-		WithInitialWindow(64),
+		WithInitialWindow(c.windowSize()),
 		WithFixedWindow(),
+		WithAllowedPartitions(c.allowed()),
 		WithScoreWorkers(2),
 		WithClock(clock.NewFake(time.Unix(0, 0))),
 		WithClusteringScore(c.clustering),
