@@ -261,12 +261,54 @@ type RunStats struct {
 	// refill passes; under the default refill this equals Assignments on a
 	// clean run, and zero under WithPerEdgeRefill.
 	BatchedAdds int64
+	// PhaseScoreOps splits ScoreComputations by the window pass that spent
+	// each score op; its fields sum to ScoreComputations.
+	PhaseScoreOps PhaseScoreOps
+	// LazySelections counts lazy candidate selections (one per pop that
+	// reached the candidate set). LazyFirstTryHits counts those whose first
+	// refreshed leader held; LazyRetries counts the leader refreshes after
+	// the first; LazyFallbacks counts the selections that gave up and
+	// rescored every candidate. Lazy-leader score ops are LazySelections +
+	// LazyRetries.
+	LazySelections, LazyFirstTryHits, LazyRetries, LazyFallbacks int64
+	// ClusterWalkEvals and ClusterCountEvals split the clustering-score
+	// evaluations by the producer that served them: the walk over both
+	// endpoint lists, or the maintained neighbour counts. They sum to the
+	// score ops of a run with the clustering score on, and are zero with
+	// it off.
+	ClusterWalkEvals, ClusterCountEvals int64
+	// CountEngagements counts how often the window engaged the maintained
+	// neighbour counts because its measured neighbourhoods were large.
+	CountEngagements int64
 	// EvictedVertices counts vertex-state evictions under WithVertexBudget
 	// (0 on the unbounded default).
 	EvictedVertices int64
 	// CacheBytes and PeakCacheBytes are the final and peak tracked byte
 	// footprints of the vertex state.
 	CacheBytes, PeakCacheBytes int64
+}
+
+// PhaseScoreOps counts score ops by the window pass that spent them.
+type PhaseScoreOps struct {
+	// Refill scores fresh edges as they enter the window.
+	Refill int64
+	// Leader refreshes the cached-score leader of a lazy selection.
+	Leader int64
+	// Rescore refreshes every candidate: each eager pop and each lazy
+	// selection that fell back.
+	Rescore int64
+	// Rescan refreshes every secondary entry when the candidates run dry.
+	Rescan int64
+	// Reassess refreshes the secondary entries of a vertex that gained a
+	// replica.
+	Reassess int64
+	// PopFresh re-scores the winner popped from a fallback set.
+	PopFresh int64
+}
+
+// Sum returns the total score ops over all phases.
+func (p PhaseScoreOps) Sum() int64 {
+	return p.Refill + p.Leader + p.Rescore + p.Rescan + p.Reassess + p.PopFresh
 }
 
 // WindowChange is one adaptive window resize event.
@@ -345,7 +387,7 @@ func New(k int, opts ...Option) (*Adwise, error) {
 	if !cfg.poolSet && shards > 1 {
 		execPool = scorepool.Shared()
 	}
-	pool := newScorePool(execPool, shards, k, len(parts))
+	pool := newScorePool(execPool, shards, len(parts))
 	if cfg.metrics != nil {
 		pool.mPasses = cfg.metrics.Counter(MetricPoolPasses)
 		pool.mStolen = cfg.metrics.Counter(MetricStolenShards)
@@ -497,7 +539,7 @@ func (a *Adwise) Run(s stream.Stream) (*metrics.Assignment, error) {
 		if !ok {
 			break
 		}
-		newSrc, newDst := a.scorer.commit(e, p)
+		newSrc, newDst := a.win.commit(e, p)
 		asn.Add(e, p)
 		a.stats.Assignments++
 		// The popped entry's score is the g(ê,p̂) that drives (C1).
@@ -568,6 +610,7 @@ func (a *Adwise) Run(s stream.Stream) (*metrics.Assignment, error) {
 	a.stats.Demotions = a.win.demotions
 	a.stats.Reassessments = a.win.reassessments
 	a.stats.SecondaryRescans = a.win.rescans
+	a.win.ledger.fill(&a.stats)
 	a.stats.EvictedVertices = a.cache.EvictedVertices()
 	a.stats.CacheBytes = a.cache.Bytes()
 	a.stats.PeakCacheBytes = a.cache.PeakBytes()

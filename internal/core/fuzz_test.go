@@ -13,16 +13,18 @@ const fuzzVertices = 12
 
 // FuzzWindowOps decodes bytes into a window configuration and a sequence
 // of window ops over a small vertex range, checking after every op that
-// the structural invariants hold and that the slot walk matches the
-// map-based oracle, and after draining that every added edge was popped
-// exactly once, into an allowed partition.
+// the structural invariants (slot mirrors and maintained counts included)
+// hold and that both clustering producers match the map-based oracle, and
+// after draining that every added edge was popped exactly once, into an
+// allowed partition.
 //
 // Layout: data[0] picks k ∈ [1, 96]; data[1] is a flag byte (bit 0
 // eager, bit 1 clustering off, bit 2 floored vertex budget, bits 3-5 the
 // candidate cap − 1); data[2] picks the first allowed partition and
-// data[3] the spread. The rest is ops: b%4 == 0 or 1 adds the edge named
+// data[3] the spread. The rest is ops: b%6 == 0 or 1 adds the edge named
 // by the next two bytes, 2 pops and commits (reassessing new replicas
-// when lazy), and 3 adds a batch of 1 + next%4 edges.
+// when lazy), 3 adds a batch of 1 + next%4 edges, 4 engages the
+// maintained counts and 5 drops them.
 func FuzzWindowOps(f *testing.F) {
 	f.Add([]byte{7, 0, 2, 3, 0, 1, 2, 0, 2, 2, 3, 3, 1, 1, 2, 0, 4, 4, 2, 2})
 	f.Add([]byte{95, 1, 40, 17, 3, 3, 1, 2, 3, 4, 5, 6, 2, 2, 0, 9, 9, 2})
@@ -60,7 +62,8 @@ func FuzzWindowOps(f *testing.F) {
 		if eager {
 			maxCand = int(^uint(0) >> 1)
 		}
-		w := newWindow(sc, newScorePool(nil, 1, k, len(parts)), DefaultEpsilon, maxCand, eager)
+		w := newWindow(sc, newScorePool(nil, 1, len(parts)), DefaultEpsilon, maxCand, eager)
+		chk := newScoreScratch(len(parts))
 
 		added := make(map[graph.Edge]int)
 		ops := data[4:]
@@ -87,7 +90,7 @@ func FuzzWindowOps(f *testing.F) {
 				t.Fatalf("popped %v more often than it was added", e)
 			}
 			added[e]--
-			newSrc, newDst := sc.commit(e, p)
+			newSrc, newDst := w.commit(e, p)
 			if !eager {
 				if newSrc {
 					w.reassess(e.Src)
@@ -99,11 +102,11 @@ func FuzzWindowOps(f *testing.F) {
 		}
 		check := func() {
 			checkWindowInvariants(t, w)
-			checkNeighborsMatchOracle(t, w, sc.prime, fuzzVertices+1)
+			checkProducersMatchOracle(t, w, chk, fuzzVertices+1)
 		}
 
 		for len(ops) > 0 {
-			switch op := next(); op % 4 {
+			switch op := next(); op % 6 {
 			case 0, 1:
 				e := edge()
 				added[e]++
@@ -119,6 +122,10 @@ func FuzzWindowOps(f *testing.F) {
 					added[batch[i]]++
 				}
 				w.addBatch(batch)
+			case 4:
+				w.engage()
+			case 5:
+				w.drop()
 			}
 			check()
 		}

@@ -184,6 +184,31 @@ func runGoldenCell(t *testing.T, c goldenCell, edges []graph.Edge) (string, RunS
 	return line, st
 }
 
+// checkLedger verifies the run's work ledger adds up: the score ops of
+// the phases sum to ScoreComputations, the lazy-leader ops are one per
+// selection plus one per retry, and the clustering evaluations of the two
+// producers sum to the score ops with the clustering score on and are
+// zero with it off.
+func checkLedger(t *testing.T, name string, st RunStats, clustering bool) {
+	t.Helper()
+	if got := st.PhaseScoreOps.Sum(); got != st.ScoreComputations {
+		t.Errorf("%s: phase score ops %+v sum to %d, ScoreComputations %d", name, st.PhaseScoreOps, got, st.ScoreComputations)
+	}
+	if got, want := st.PhaseScoreOps.Leader, st.LazySelections+st.LazyRetries; got != want {
+		t.Errorf("%s: %d lazy-leader score ops, want selections %d + retries %d", name, got, st.LazySelections, st.LazyRetries)
+	}
+	if st.LazyFirstTryHits+st.LazyFallbacks > st.LazySelections {
+		t.Errorf("%s: %d first-try hits and %d fallbacks exceed %d selections", name, st.LazyFirstTryHits, st.LazyFallbacks, st.LazySelections)
+	}
+	want := st.ScoreComputations
+	if !clustering {
+		want = 0
+	}
+	if got := st.ClusterWalkEvals + st.ClusterCountEvals; got != want {
+		t.Errorf("%s: walk %d + counts %d clustering evaluations, want %d", name, st.ClusterWalkEvals, st.ClusterCountEvals, want)
+	}
+}
+
 // TestGoldenAssignmentDigests is the cross-build behaviour anchor: every
 // cell of the matrix must reproduce the committed digest of its assignment
 // sequence, its replication factor, its largest partition and its score
@@ -203,6 +228,11 @@ func TestGoldenAssignmentDigests(t *testing.T) {
 		if c.graph == "rmat" && c.budget && st.EvictedVertices == 0 {
 			t.Errorf("%s: the floored budget evicted nothing; the cell no longer exercises eviction", c.name())
 		}
+		if c.window != 0 && st.CountEngagements == 0 {
+			t.Errorf("%s: the maintained neighbour counts never engaged", c.name())
+		}
+		checkLedger(t, c.name(), st, c.clustering)
+		t.Logf("%s engage=%d walk=%d counts=%d evicted=%d", c.name(), st.CountEngagements, st.ClusterWalkEvals, st.ClusterCountEvals, st.EvictedVertices)
 		got[i] = line
 	}
 

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/adwise-go/adwise/internal/gen"
@@ -13,8 +14,9 @@ import (
 )
 
 // checkWindowInvariants verifies the structural window invariants:
-// set-slice/entry agreement, the slot table and incident lists, the Θ
-// accumulator, and the candidate cap.
+// set-slice/entry agreement, the slot table and incident lists, the slot
+// mirrors and maintained counts, the Θ accumulator, and the candidate
+// cap.
 func checkWindowInvariants(t *testing.T, w *window) {
 	t.Helper()
 	live := make(map[*winEntry]bool, w.len())
@@ -51,6 +53,7 @@ func checkWindowInvariants(t *testing.T, w *window) {
 	}
 
 	checkSlotTable(t, w, live)
+	checkMirrorsAndCounts(t, w)
 
 	if got, want := w.scoreSum, exactScoreSum(w); math.Abs(got-want) > 1e-6*(1+math.Abs(want)) {
 		t.Fatalf("scoreSum %v inconsistent with live entries Σ %v", got, want)
@@ -149,6 +152,88 @@ func checkSlotTable(t *testing.T, w *window, live map[*winEntry]bool) {
 	}
 }
 
+// checkMirrorsAndCounts verifies that every live slot's mirror equals the
+// cache and, while the counts are engaged, that the pair table, the
+// distinct-neighbour counts and the per-partition count vectors equal a
+// recomputation from the incident lists, with freed slots holding zero
+// counts.
+func checkMirrorsAndCounts(t *testing.T, w *window) {
+	t.Helper()
+	if len(w.mirDeg) != len(w.slotVertex) || len(w.mirWords) != len(w.slotVertex)*w.wpe {
+		t.Fatalf("mirrors cover %d degrees and %d words for %d slots", len(w.mirDeg), len(w.mirWords), len(w.slotVertex))
+	}
+	for s, list := range w.incident {
+		if len(list) == 0 {
+			continue
+		}
+		v := w.slotVertex[s]
+		deg, words := w.sc.cache.LookupWords(v)
+		if w.mirDeg[s] != int32(deg) {
+			t.Fatalf("slot %d (vertex %v) mirrors degree %d, cache %d", s, v, w.mirDeg[s], deg)
+		}
+		for i, got := range w.mirror(int32(s)) {
+			var want uint64
+			if words != nil {
+				want = words[i]
+			}
+			if got != want {
+				t.Fatalf("slot %d (vertex %v) mirrors word %d = %#x, cache %#x", s, v, i, got, want)
+			}
+		}
+	}
+	if !w.engaged {
+		return
+	}
+	if len(w.nbrs) != len(w.slotVertex) || len(w.counts) != len(w.slotVertex)*w.nparts {
+		t.Fatalf("counts cover %d slots and %d counters for %d slots", len(w.nbrs), len(w.counts), len(w.slotVertex))
+	}
+	pairs := 0
+	for s, list := range w.incident {
+		mult := make(map[int32]int32)
+		for _, inc := range list {
+			if inc.other != int32(s) {
+				mult[inc.other]++
+			}
+		}
+		wantCounts := make([]int32, w.nparts)
+		for _, inc := range list {
+			if m, ok := mult[inc.other]; ok && m > 0 {
+				if got := w.pairs.get(int32(s), inc.other); got != m {
+					t.Fatalf("pair (%d,%d) multiplicity %d, lists hold %d", s, inc.other, got, m)
+				}
+				_, words := w.sc.cache.LookupWords(w.slotVertex[inc.other])
+				scatterCount(wantCounts, w.sc.partIdx, words, 1)
+				mult[inc.other] = 0 // count each distinct neighbour once
+				if int32(s) < inc.other {
+					pairs++
+				}
+			}
+		}
+		if got, want := w.nbrs[s], int32(len(mult)); got != want {
+			t.Fatalf("slot %d counts %d distinct neighbours, lists hold %d", s, got, want)
+		}
+		if got := w.slotCounts(int32(s)); !slices.Equal(got, wantCounts) {
+			t.Fatalf("slot %d neighbour counts %v, recomputed %v", s, got, wantCounts)
+		}
+	}
+	cells := 0
+	for c, key := range w.pairs.keys {
+		if key == 0 {
+			continue
+		}
+		cells++
+		if w.pairs.mult[c] <= 0 {
+			t.Fatalf("pair cell %d holds key %#x with multiplicity %d", c, key, w.pairs.mult[c])
+		}
+		if got := w.pairs.find(key); got != uint64(c) {
+			t.Fatalf("pair key %#x sits in cell %d but probes to cell %d", key, c, got)
+		}
+	}
+	if cells != pairs || w.pairs.n != pairs {
+		t.Fatalf("pair table holds %d cells (n=%d), lists link %d pairs", cells, w.pairs.n, pairs)
+	}
+}
+
 // TestWindowInvariantsRandomized drives the window through a randomized
 // add/pop/reassess workload, checking the structural invariants
 // throughout — in both lazy and eager mode, serial and sharded.
@@ -173,7 +258,7 @@ func TestWindowInvariantsRandomized(t *testing.T) {
 				exec = scorepool.New(tc.workers)
 				defer exec.Close()
 			}
-			pool := newScorePool(exec, tc.workers, 8, len(sc.parts))
+			pool := newScorePool(exec, tc.workers, len(sc.parts))
 			w := newWindow(sc, pool, 0.1, maxCand, tc.eager)
 			rng := rand.New(rand.NewSource(99))
 			for i := 0; i < 4000; i++ {
@@ -185,7 +270,7 @@ func TestWindowInvariantsRandomized(t *testing.T) {
 					if !ok {
 						t.Fatal("popBest failed on non-empty window")
 					}
-					newSrc, newDst := sc.commit(e, p)
+					newSrc, newDst := w.commit(e, p)
 					if !tc.eager {
 						if newSrc {
 							w.reassess(e.Src)
@@ -346,7 +431,7 @@ func TestTopTwoCachedShardedMatchesSerial(t *testing.T) {
 	}
 	exec := scorepool.New(4)
 	defer exec.Close()
-	pool := newScorePool(exec, 4, 2, 2)
+	pool := newScorePool(exec, 4, 2)
 
 	for round := 0; round < 50; round++ {
 		serialTop := scanTopTwo(scores, 0, len(scores))
@@ -371,7 +456,7 @@ func TestForEachShardsTile(t *testing.T) {
 	exec := scorepool.New(2)
 	defer exec.Close()
 	for _, n := range []int{1, 2, 3, 7, 8} {
-		pool := newScorePool(exec, n, 2, 2)
+		pool := newScorePool(exec, n, 2)
 		for _, items := range []int{0, 1, 5, 63, 64, 1000, 4096} {
 			covered := make([]int32, items)
 			// Shards cover disjoint index ranges, so the concurrent writes

@@ -23,53 +23,60 @@ import (
 // pool (see scorepool.go):
 //
 //   - scoreView is the immutable per-pass snapshot of everything a score
-//     depends on besides the edge itself: λ, the partition-size extrema,
-//     the maximum degree, and a read-only handle on the vertex cache.
+//     depends on besides the edge's own inputs: λ, the partition-size
+//     extrema, the maximum degree, and the allowed-partition layout.
 //     Within one scoring pass no assignment is committed, so the snapshot
 //     is exact — and because it is never written during the pass, any
 //     number of workers can score against it concurrently.
 //   - scoreScratch is the per-worker mutable state: the clustering-score
-//     counters, the per-partition score buffer, the neighbourhood
-//     collection buffer and epoch stamps, and the worker's score-op
-//     counter. Each worker owns one; nothing in a scratch is shared.
+//     counts, the per-partition score buffer, the epoch stamps of the
+//     window walks, and the worker's score-op and |N| counters. Each
+//     worker owns one; nothing in a scratch is shared.
 //   - scorer owns the cache, the adaptive λ, and a "prime" scratch for the
 //     serial paths (add, reassess, single-leader rescores), and mints
 //     scoreViews at pass boundaries.
+//
+// The kernel takes its per-edge inputs ready-made: the two endpoints'
+// degrees and replica words (from the window's slot mirrors, or one cache
+// probe for an endpoint without a window edge) and the clustering
+// inputs |N(u)∪N(v)| and per-partition neighbour counts, which the
+// window produces (window.go). It never probes the cache itself.
 
 // scoreScratch is the mutable per-worker scoring state. One scratch is
 // owned by exactly one goroutine at a time; the pool hands scratch i to
 // shard-worker i and the scorer's prime scratch serves every serial path.
 type scoreScratch struct {
-	csCounts        []float64 // per-global-partition clustering-score counters
-	scores          []float64 // per-allowed-partition scores
-	neighborScratch []graph.VertexID
+	// cs[i] counts the scored edge's window neighbours replicated on the
+	// allowed partition parts[i] — the numerators of Eq. 6, filled by the
+	// window's neighbourhood producers.
+	cs     []int32
+	scores []float64 // per-allowed-partition scores
 	// stamps[s] == epoch marks window slot s as already seen by the
-	// current neighbourhood walk; every walk advances epoch instead of
-	// clearing a seen-set. Grown lazily to the window's slot count.
+	// current walk; every walk advances epoch instead of clearing a
+	// seen-set. Grown lazily to the window's slot count.
 	stamps []uint32
 	epoch  uint32
 	// scoreOps counts edge score evaluations performed with this scratch
 	// (each evaluation covers all allowed partitions).
 	scoreOps int64
+	// nSum accumulates |N(u)∪N(v)| over this scratch's clustering
+	// evaluations; the window reads it to decide which producer serves.
+	nSum int64
 }
 
-func newScoreScratch(k, nparts int) *scoreScratch {
+func newScoreScratch(nparts int) *scoreScratch {
 	return &scoreScratch{
-		// Padded to a whole number of 64-bit bitmap words: the clustering
-		// accumulation scatters by word-scanning replica bitmaps, and a
-		// padded buffer lets that scan index without a per-bit k bound
-		// check (bits ≥ k are never set, but the slots must exist).
-		csCounts: make([]float64, paddedParts(k)),
-		scores:   make([]float64, nparts),
+		cs:     make([]int32, nparts),
+		scores: make([]float64, nparts),
 	}
 }
 
-// nextEpoch starts a neighbourhood walk over window slots [0, slots): it
-// grows the stamp array to cover every slot (new stamps are zero, never a
-// live epoch) and advances the epoch. When the 32-bit epoch wraps — after
-// 2^32 walks, hundreds of millions of edges at a few score ops per edge —
-// the array is cleared, so no stamp left from the previous cycle can read
-// as current.
+// nextEpoch starts a walk over window slots [0, slots): it grows the
+// stamp array to cover every slot (new stamps are zero, never a live
+// epoch) and advances the epoch. When the 32-bit epoch wraps — after 2^32
+// walks, hundreds of millions of edges at a few score ops per edge — the
+// array is cleared, so no stamp left from the previous cycle can read as
+// current.
 func (scr *scoreScratch) nextEpoch(slots int) ([]uint32, uint32) {
 	if len(scr.stamps) < slots {
 		scr.stamps = append(scr.stamps, make([]uint32, slots-len(scr.stamps))...)
@@ -89,11 +96,10 @@ func paddedParts(k int) int { return (k + 63) / 64 * 64 }
 
 // scoreView is the immutable scoring snapshot for one window pass. All
 // fields are fixed at construction (scorer.view); scoreEdge only reads
-// them plus the cache, which no one mutates during a pass — commits happen
-// strictly between passes. This is what makes a scoring pass safe to shard
-// across workers and, independently, what pins the pass semantics: every
-// edge scored in one pass sees the same λ, sizes, and degrees, regardless
-// of evaluation order.
+// them — commits happen strictly between passes. This is what makes a
+// scoring pass safe to shard across workers and, independently, what
+// pins the pass semantics: every edge scored in one pass sees the same
+// λ, sizes, and degrees, regardless of evaluation order.
 //
 // The balance term λ·B(p) of Eq. 7 depends only on λ and the partition
 // sizes — both fixed for the pass — so the view carries it precomputed
@@ -103,7 +109,6 @@ func paddedParts(k int) int { return (k + 63) / 64 * 64 }
 // same operation order as the historical per-edge form, so pass scores
 // are bit-identical.
 type scoreView struct {
-	cache *vcache.Cache // read-only during the pass
 	parts []int
 
 	// balance[i] = λ·B(parts[i]), fixed for the pass. Aliases the minting
@@ -121,69 +126,57 @@ type scoreView struct {
 	clustering bool
 }
 
+// endpoint is the replication input of one scored-edge endpoint: its
+// partial degree and replica words. Words are nil for a vertex the cache
+// does not hold, and the zero endpoint stands for the repeated endpoint
+// of a self-loop, which the replication term counts once.
+type endpoint struct {
+	deg   int32
+	words []uint64
+}
+
 // scoreEdge computes g(e,p) for every allowed partition and returns the
-// best score and its (global) partition id. neighbors is the window
-// neighbourhood N(u)∪N(v) of the edge (excluding the endpoints
-// themselves); it drives the clustering score of Eq. 6. All mutable state
-// lives in scr, so concurrent calls with distinct scratches are safe.
+// best score and its (global) partition id. src and dst are e's endpoint
+// inputs (dst the zero endpoint for a self-loop); n = |N(u)∪N(v)| is the
+// size of the edge's window neighbourhood and counts[i] how many of those
+// neighbours are replicated on parts[i] — the clustering score of Eq. 6,
+// skipped when n is 0. All mutable state lives in scr, so concurrent
+// calls with distinct scratches are safe.
 //
 // This is the replica-scan kernel of the scoring hot loop, written
 // branch-light over the flat SoA buffers: the score buffer is seeded with
 // the precomputed balance terms in one copy, the replication addends are
 // scattered by word-scanning the endpoint replica bitmaps with math/bits
 // (set bits only — no per-partition Contains probe, no per-bit closure),
-// the clustering counts accumulate the same way over the neighbour
-// bitmaps, and one flat fold finishes the per-partition sums and the
-// argmax. Floating-point operation order per partition slot is identical
-// to the historical per-partition loop (balance, +R(u), +R(v), +CS, in
-// that order), so scores are bit-identical.
+// and one flat fold adds the clustering term and finds the argmax. The
+// counts are exact integers, so count·(1/n) is the same float64 the
+// historical per-neighbour accumulation produced, and the operation order
+// per partition slot is unchanged (balance, +R(u), +R(v), +CS): scores
+// are bit-identical to the historical per-partition loop.
 //
 // The returned slice aliases scr.scores and is only valid until the next
 // scoreEdge call with the same scratch.
 //
 //adwise:zeroalloc
-func (v *scoreView) scoreEdge(e graph.Edge, neighbors []graph.VertexID, scr *scoreScratch) (scores []float64, best float64, bestPart int) {
+func (v *scoreView) scoreEdge(src, dst endpoint, n int, counts []int32, scr *scoreScratch) (scores []float64, best float64, bestPart int) {
 	scr.scoreOps++
 
 	// Degree-aware replication score (Eq. 5): Ψu = deg(u)/(2·maxDegree),
 	// so already-replicated low-degree endpoints pull harder (2−Ψ larger)
 	// than high-degree ones — replicating high-degree vertices first.
-	degU, ruWords := v.cache.LookupWords(e.Src)
-
-	// Clustering score (Eq. 6): per-partition count of window neighbours
-	// already replicated there, normalised by |N(u)∪N(v)|. The counters
-	// accumulate at every set bit (csCounts is padded to whole words);
-	// only allowed slots are cleared and read, as before.
-	useCS := v.clustering && len(neighbors) > 0
-	if useCS {
-		for _, p := range v.parts {
-			scr.csCounts[p] = 0
-		}
-		for _, n := range neighbors {
-			_, nw := v.cache.LookupWords(n)
-			for wi, wd := range nw {
-				base := wi << 6
-				for wd != 0 {
-					scr.csCounts[base+bits.TrailingZeros64(wd)]++
-					wd &= wd - 1
-				}
-			}
-		}
-	}
-
 	// Seed every allowed slot with its balance term, then scatter the
 	// replication addends at the endpoints' replica bits.
 	copy(scr.scores, v.balance)
-	scatterReplica(scr.scores, v.partIdx, ruWords, 2-float64(degU)/(2*v.maxDeg))
-	if e.Dst != e.Src {
-		degV, rvWords := v.cache.LookupWords(e.Dst)
-		scatterReplica(scr.scores, v.partIdx, rvWords, 2-float64(degV)/(2*v.maxDeg))
-	}
+	scatterReplica(scr.scores, v.partIdx, src.words, 2-float64(src.deg)/(2*v.maxDeg))
+	scatterReplica(scr.scores, v.partIdx, dst.words, 2-float64(dst.deg)/(2*v.maxDeg))
 
-	if useCS {
-		invN := 1 / float64(len(neighbors))
-		for i, p := range v.parts {
-			scr.scores[i] += scr.csCounts[p] * invN
+	// Clustering score (Eq. 6): per-partition count of window neighbours
+	// already replicated there, normalised by |N(u)∪N(v)|.
+	if n > 0 {
+		invN := 1 / float64(n)
+		counts = counts[:len(scr.scores)]
+		for i, c := range counts {
+			scr.scores[i] += float64(c) * invN
 		}
 	}
 
@@ -211,6 +204,23 @@ func scatterReplica(scores []float64, partIdx []int32, words []uint64, addend fl
 		for wd != 0 {
 			if idx := partIdx[base+bits.TrailingZeros64(wd)]; idx >= 0 {
 				scores[idx] += addend
+			}
+			wd &= wd - 1
+		}
+	}
+}
+
+// scatterCount adds delta to the count of every allowed partition whose
+// bit is set in words: the clustering-count form of scatterReplica, used
+// by the window's neighbourhood producers and count maintenance.
+//
+//adwise:zeroalloc
+func scatterCount(counts []int32, partIdx []int32, words []uint64, delta int32) {
+	for wi, wd := range words {
+		base := wi << 6
+		for wd != 0 {
+			if idx := partIdx[base+bits.TrailingZeros64(wd)]; idx >= 0 {
+				counts[idx] += delta
 			}
 			wd &= wd - 1
 		}
@@ -263,7 +273,7 @@ func newScorer(cache *vcache.Cache, parts []int, cfg config) *scorer {
 		balanceEps: cfg.balanceEps,
 		clustering: cfg.clustering,
 		totalEdges: cfg.totalEdges,
-		prime:      newScoreScratch(cache.K(), len(parts)),
+		prime:      newScoreScratch(len(parts)),
 		balBuf:     make([]float64, len(parts)),
 		partIdx:    partIdx,
 	}
@@ -282,7 +292,6 @@ func (s *scorer) view() scoreView {
 		s.balBuf[i] = s.lambda * (float64(maxSize-s.cache.Size(p)) / sizeSpread)
 	}
 	return scoreView{
-		cache:      s.cache,
 		parts:      s.parts,
 		balance:    s.balBuf,
 		partIdx:    s.partIdx,
@@ -291,18 +300,12 @@ func (s *scorer) view() scoreView {
 	}
 }
 
-// scoreEdge scores one edge against a fresh single-call view using the
-// prime scratch — the convenience form for the serial one-edge paths and
-// tests. Passes that score many edges build one view and call it directly.
-func (s *scorer) scoreEdge(e graph.Edge, neighbors []graph.VertexID) (scores []float64, best float64, bestPart int) {
-	v := s.view()
-	return v.scoreEdge(e, neighbors, s.prime)
-}
-
 // commit records the assignment of e to partition p in the vertex cache
 // and performs the per-assignment λ update of Eq. 4. It reports which
 // endpoints gained a new replica (these drive lazy reassessment, §III-B).
 // A commit is a pass boundary: scoreViews minted before it are stale.
+// While a window is live, commit through window.commit, which also
+// re-syncs the window's slot mirrors of the changed vertices.
 func (s *scorer) commit(e graph.Edge, p int) (newSrc, newDst bool) {
 	newSrc, newDst = s.cache.Assign(e, p)
 

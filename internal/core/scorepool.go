@@ -71,8 +71,8 @@ type scorePool struct {
 // determinism contract above).
 const (
 	// scoreGrainPerWorker is the minimum number of scoreEdge evaluations
-	// per shard worth dispatching: one evaluation costs O(k + |N|) cache
-	// probes, a few hundred ns at least.
+	// per shard worth dispatching: one evaluation costs an O(k) kernel plus
+	// a neighbourhood walk, a few hundred ns at least.
 	scoreGrainPerWorker = 32
 	// scanGrain is the minimum candidate count worth sharding a cached-
 	// score scan over: the scan is a float compare per entry, so only very
@@ -80,13 +80,13 @@ const (
 	scanGrain = 1 << 14
 )
 
-func newScorePool(pool *scorepool.Pool, n, k, nparts int) *scorePool {
+func newScorePool(pool *scorepool.Pool, n, nparts int) *scorePool {
 	if n < 1 {
 		n = 1
 	}
 	p := &scorePool{pool: pool, n: n, scratch: make([]*scoreScratch, n)}
 	for i := range p.scratch {
-		p.scratch[i] = newScoreScratch(k, nparts)
+		p.scratch[i] = newScoreScratch(nparts)
 	}
 	return p
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"github.com/adwise-go/adwise/internal/graph"
+	"github.com/adwise-go/adwise/internal/hashx"
 )
 
 // window implements the edge window with lazy traversal (§III-B): edges are
@@ -50,15 +51,56 @@ import (
 //
 // # Window-local vertex slots
 //
-// The clustering score needs the window neighbourhood N(u)∪N(v) of every
-// scored edge, so the neighbourhood walk runs once per score op and must
-// not hash. Every vertex with a live window edge owns a dense slot
-// (slotOf / slotVertex), freed onto a free list and reused once its last
-// window edge leaves. Incident lists are indexed by slot and carry each
-// entry's other-endpoint slot inline, and a window entry records its two
-// endpoint slots, so a walk reads only slot lists and the scratch's
-// epoch stamps. The slot table changes only in the serial phases
-// (insertScored and remove); scoring passes only read it.
+// Every vertex with a live window edge owns a dense slot (slotOf /
+// slotVertex), freed onto a free list and reused once its last window
+// edge leaves. Incident lists are indexed by slot and carry each entry's
+// other-endpoint slot inline, and a window entry records its two endpoint
+// slots, so rescoring an entry never touches the slot map.
+//
+// Each slot mirrors its vertex's partial degree and replica words from
+// the vertex cache, so scoring a window entry reads its endpoints and its
+// neighbours from slot arrays and never probes the cache; only the
+// endpoint of a fresh edge that has no slot still probes. The mirror is
+// filled when the slot is acquired and re-synced by window.commit — the
+// only way to commit while the window is live — for the committed
+// endpoints that still hold a slot, or for every live slot when the
+// cache evicted vertices. A direct scorer.commit would leave mirrors
+// stale.
+//
+// # The clustering producers
+//
+// The clustering score needs |N(u)∪N(v)| and, per allowed partition, how
+// many of those window neighbours are replicated there. Two exact
+// producers compute them:
+//
+//   - the walk visits both endpoint lists, deduplicating the other slots
+//     through the scratch's epoch stamps and scattering each distinct
+//     neighbour's mirrored words;
+//   - the maintained counts keep, per slot s, the number |D(s)| of its
+//     distinct window neighbours and, per allowed partition, how many of
+//     them are replicated there, updated through a slot-pair
+//     multiplicity table as entries come and go and by mirror deltas at
+//     commit. A score then combines the two endpoints' vectors:
+//     |N| = |D(u)| + |D(v)| − |D(u)∩D(v)| − 2·[u~v], and the counts
+//     subtract the overlap's bits and, when u~v, u's and v's bits. The
+//     overlap is found by walking the shorter endpoint list.
+//
+// The counts cost a scatter per pair insert and per neighbour of a
+// vertex whose replicas change, which only pays off when neighbourhoods
+// are large. The window therefore measures the mean |N| per clustering
+// evaluation over every period of engagePeriod commits: at |parts| or
+// more it engages the counts, building them from the live lists in
+// O(window); below |parts|/2 it drops them. The rule reads only work
+// counts, so it is deterministic, and both producers are exact, so which
+// one serves never changes a score. Counts, mirrors and the pair table
+// change only in the serial phases (insertScored, remove, commit,
+// engage); scoring passes only read them.
+//
+// Memory: with w the largest window, at most 2·w slots are live, each
+// mirroring ⌈k/64⌉ replica words and, while the counts are engaged,
+// holding |parts| int32 counters, plus the pair table (at most one
+// element per live entry). None of it is charged to the vertex-cache
+// byte budget.
 
 type setKind uint8
 
@@ -112,6 +154,40 @@ type window struct {
 	freeSlots  []int32
 	incident   [][]incidence
 
+	// Slot mirrors: mirDeg[s] and mirWords[s*wpe:(s+1)*wpe] are the
+	// partial degree and replica words the cache holds for slotVertex[s]
+	// (the invariant window.commit maintains for live slots). evicted is
+	// the cache's eviction count at the last sync.
+	wpe      int
+	mirDeg   []int32
+	mirWords []uint64
+	evicted  int64
+	// gain / loss are commit-time scratch: the replica bits a re-synced
+	// slot gained and lost.
+	gain, loss []uint64
+
+	// Maintained neighbour counts, valid while engaged: nbrs[s] = |D(s)|,
+	// the distinct other slots sharing a live entry with s, and
+	// counts[s*nparts+i] how many of them are replicated on the allowed
+	// partition parts[i]; pairs holds the live-entry multiplicity of every
+	// linked slot pair. Freed slots hold zero counts.
+	engaged bool
+	nparts  int
+	nbrs    []int32
+	counts  []int32
+	pairs   pairTable
+
+	// popped is the entry the last pop removed, reset when a vertex
+	// acquires a slot: while it is set, its endpoint slots are live exactly
+	// when their lists are non-empty, which spares commit two slot-map
+	// lookups.
+	popped *winEntry
+
+	// The engagement rule's period state: commits into the current period
+	// and the Σ|N| / score-op totals at its start.
+	periodCommits      int
+	periodN, periodOps int64
+
 	scoreSum float64 // Σ cached scores over live entries (for Θ)
 	epsilon  float64 // ε in Θ = g_avg + ε
 	maxCand  int     // bound on |C|; DESIGN.md documents this engineering cap
@@ -141,13 +217,40 @@ type window struct {
 
 	// statistics
 	promotions, demotions, reassessments, rescans int64
+	ledger                                        ledger
+}
+
+// ledger is the window's per-layer work account, booked once per pass in
+// serial code: score ops by phase, clustering evaluations by producer,
+// count engagements, and the outcome of every lazy selection.
+type ledger struct {
+	ops                   PhaseScoreOps
+	walkEvals, countEvals int64
+	engagements           int64
+	selections, firstTry  int64
+	retries, fallbacks    int64
+}
+
+// fill copies the ledger into a run's stats.
+func (l *ledger) fill(st *RunStats) {
+	st.PhaseScoreOps = l.ops
+	st.LazySelections, st.LazyFirstTryHits = l.selections, l.firstTry
+	st.LazyRetries, st.LazyFallbacks = l.retries, l.fallbacks
+	st.ClusterWalkEvals, st.ClusterCountEvals = l.walkEvals, l.countEvals
+	st.CountEngagements = l.engagements
 }
 
 func newWindow(sc *scorer, pool *scorePool, epsilon float64, maxCand int, eager bool) *window {
+	wpe := (sc.cache.K() + 63) / 64
 	return &window{
 		sc:      sc,
 		pool:    pool,
 		slotOf:  make(map[graph.VertexID]int32, 256),
+		wpe:     wpe,
+		evicted: sc.cache.EvictedVertices(),
+		gain:    make([]uint64, wpe),
+		loss:    make([]uint64, wpe),
+		nparts:  len(sc.parts),
 		epsilon: epsilon,
 		maxCand: maxCand,
 		eager:   eager,
@@ -166,42 +269,94 @@ func (w *window) theta() float64 {
 	return w.scoreSum/float64(n) + w.epsilon
 }
 
-// neighbors collects the window neighbourhood N(u)∪N(v) of e: the distinct
-// other-endpoints of live window edges incident to e's endpoints,
-// excluding u and v themselves. Used by the clustering score (Eq. 6); the
-// paper computes N only from window edges for scalability. Serial form
-// over the prime scratch; scoring passes use freshNeighbors or
-// neighborsInto with per-worker scratches.
-func (w *window) neighbors(e graph.Edge) []graph.VertexID {
-	return w.freshNeighbors(e, w.sc.prime)
+// account books ops score evaluations of one pass to its phase counter
+// and, with the clustering score on, to the producer that served the pass
+// (the producer changes only at commit, never within a pass).
+func (w *window) account(phase *int64, ops int) {
+	*phase += int64(ops)
+	if w.sc.clustering {
+		if w.engaged {
+			w.ledger.countEvals += int64(ops)
+		} else {
+			w.ledger.walkEvals += int64(ops)
+		}
+	}
 }
 
-// freshNeighbors collects the neighbourhood of an edge that is not (yet)
-// a window entry, resolving its endpoints through the slot map. An
-// endpoint without a slot has no live window edge: it has no incident
-// list and no list names it, so it neither contributes nor needs
-// excluding.
-func (w *window) freshNeighbors(e graph.Edge, scr *scoreScratch) []graph.VertexID {
-	su, sv := int32(-1), int32(-1)
-	if s, ok := w.slotOf[e.Src]; ok {
-		su = s
-	}
-	if s, ok := w.slotOf[e.Dst]; ok {
-		sv = s
-	}
-	return w.neighborsInto(su, sv, scr)
+// mirror returns slot s's mirrored replica words.
+func (w *window) mirror(s int32) []uint64 {
+	return w.mirWords[int(s)*w.wpe : int(s+1)*w.wpe]
 }
 
-// neighborsInto is the read-only neighbourhood walk over the incident
-// lists of endpoint slots su and sv (−1 for an endpoint without a slot;
-// a window entry passes its stored slots). It reads each element's
-// inline other slot and dedups through the scratch's epoch stamps — no
-// hashing, no entry dereference — touching only the given scratch, so
-// it is safe for concurrent calls with distinct scratches while no one
-// mutates the window (the compute phase of a pass). The lists hold live
-// entries only between pops. The returned slice aliases
-// scr.neighborScratch.
-func (w *window) neighborsInto(su, sv int32, scr *scoreScratch) []graph.VertexID {
+// slotCounts returns slot s's maintained per-partition neighbour counts.
+func (w *window) slotCounts(s int32) []int32 {
+	return w.counts[int(s)*w.nparts : int(s+1)*w.nparts]
+}
+
+// endpoint returns the scoring input of vertex v with slot s: the slot
+// mirror, or one cache probe when v has no slot (s < 0).
+func (w *window) endpoint(v graph.VertexID, s int32) endpoint {
+	if s >= 0 {
+		return endpoint{deg: w.mirDeg[s], words: w.mirror(s)}
+	}
+	deg, words := w.sc.cache.LookupWords(v)
+	return endpoint{deg: int32(deg), words: words}
+}
+
+// score evaluates e, whose endpoints hold slots su and sv (−1 for an
+// endpoint without a live window edge), against view. The clustering
+// inputs come from whichever producer is engaged; with the clustering
+// score off neither runs. Read-only on the window, so safe for concurrent
+// calls with distinct scratches during a pass.
+func (w *window) score(view *scoreView, e graph.Edge, su, sv int32, scr *scoreScratch) (float64, int) {
+	src := w.endpoint(e.Src, su)
+	var dst endpoint
+	if e.Dst != e.Src {
+		dst = w.endpoint(e.Dst, sv)
+	}
+	n := 0
+	if view.clustering {
+		if w.engaged {
+			n = w.countedNeighborhood(su, sv, scr)
+		} else {
+			n = w.walkNeighborhood(su, sv, scr)
+		}
+		scr.nSum += int64(n)
+	}
+	_, best, part := view.scoreEdge(src, dst, n, scr.cs, scr)
+	return best, part
+}
+
+// scoreEntry scores a live window entry through its stored slots.
+func (w *window) scoreEntry(view *scoreView, ent *winEntry, scr *scoreScratch) (float64, int) {
+	return w.score(view, ent.edge, ent.srcSlot, ent.dstSlot, scr)
+}
+
+// scoreFresh scores an edge that is not (yet) a window entry, resolving
+// its endpoints through the slot map.
+func (w *window) scoreFresh(view *scoreView, e graph.Edge, scr *scoreScratch) (float64, int) {
+	return w.score(view, e, w.slotOrNone(e.Src), w.slotOrNone(e.Dst), scr)
+}
+
+// slotOrNone returns v's slot, or −1 when v has no live window edge.
+func (w *window) slotOrNone(v graph.VertexID) int32 {
+	if s, ok := w.slotOf[v]; ok {
+		return s
+	}
+	return -1
+}
+
+// walkNeighborhood is the walk producer: it visits the incident lists of
+// su and sv (−1 for none), counts the distinct other slots, excluding the
+// endpoints themselves, and accumulates their mirrored replica bits into
+// scr.cs. It returns |N(u)∪N(v)|.
+//
+//adwise:zeroalloc
+func (w *window) walkNeighborhood(su, sv int32, scr *scoreScratch) int {
+	clear(scr.cs)
+	if su < 0 && sv < 0 {
+		return 0
+	}
 	stamps, epoch := scr.nextEpoch(len(w.slotVertex))
 	// Both endpoints are stamped before either list is walked: they are
 	// excluded from the neighbourhood.
@@ -211,33 +366,93 @@ func (w *window) neighborsInto(su, sv int32, scr *scoreScratch) []graph.VertexID
 	if sv >= 0 {
 		stamps[sv] = epoch
 	}
-	nbs := scr.neighborScratch[:0]
+	n := 0
 	if su >= 0 {
-		nbs = w.collectSlot(su, stamps, epoch, nbs)
+		n += w.walkSlot(su, stamps, epoch, scr.cs)
 	}
 	if sv >= 0 && sv != su {
-		nbs = w.collectSlot(sv, stamps, epoch, nbs)
+		n += w.walkSlot(sv, stamps, epoch, scr.cs)
 	}
-	scr.neighborScratch = nbs
-	return nbs
+	return n
 }
 
-// collectSlot appends the vertices of slot s's list whose other slot is
-// not yet stamped with epoch, stamping each as it goes.
-func (w *window) collectSlot(s int32, stamps []uint32, epoch uint32, nbs []graph.VertexID) []graph.VertexID {
+// walkSlot scatters the mirrored words of every other slot on s's list
+// not yet stamped with epoch into cs, stamping each, and returns how many
+// it found.
+//
+//adwise:zeroalloc
+func (w *window) walkSlot(s int32, stamps []uint32, epoch uint32, cs []int32) int {
+	n := 0
 	for _, inc := range w.incident[s] {
 		if stamps[inc.other] == epoch {
 			continue
 		}
 		stamps[inc.other] = epoch
-		nbs = append(nbs, w.slotVertex[inc.other])
+		n++
+		scatterCount(cs, w.sc.partIdx, w.mirror(inc.other), 1)
 	}
-	return nbs
+	return n
+}
+
+// countedNeighborhood is the maintained-counts producer: it combines the
+// endpoints' count vectors into scr.cs and returns |N(u)∪N(v)| =
+// |D(u)| + |D(v)| − |D(u)∩D(v)| − 2·[u~v], subtracting the same terms from
+// the counts. The overlap and the adjacency are found by walking the
+// shorter endpoint list, one pair-table probe per distinct neighbour.
+// Requires engaged counts.
+//
+//adwise:zeroalloc
+func (w *window) countedNeighborhood(su, sv int32, scr *scoreScratch) int {
+	switch {
+	case su < 0 && sv < 0:
+		clear(scr.cs)
+		return 0
+	case sv < 0 || sv == su:
+		copy(scr.cs, w.slotCounts(su))
+		return int(w.nbrs[su])
+	case su < 0:
+		copy(scr.cs, w.slotCounts(sv))
+		return int(w.nbrs[sv])
+	}
+	a, b := su, sv
+	if len(w.incident[b]) < len(w.incident[a]) {
+		a, b = b, a
+	}
+	ca, cb := w.slotCounts(a), w.slotCounts(b)
+	cs := scr.cs[:len(ca)]
+	for i := range cs {
+		cs[i] = ca[i] + cb[i]
+	}
+	n := int(w.nbrs[a] + w.nbrs[b])
+	stamps, epoch := scr.nextEpoch(len(w.slotVertex))
+	stamps[a] = epoch
+	adjacent := false
+	for _, inc := range w.incident[a] {
+		t := inc.other
+		if stamps[t] == epoch {
+			continue
+		}
+		stamps[t] = epoch
+		if t == b {
+			adjacent = true
+			continue
+		}
+		if w.pairs.get(b, t) > 0 {
+			n--
+			scatterCount(cs, w.sc.partIdx, w.mirror(t), -1)
+		}
+	}
+	if adjacent {
+		n -= 2
+		scatterCount(cs, w.sc.partIdx, w.mirror(a), -1)
+		scatterCount(cs, w.sc.partIdx, w.mirror(b), -1)
+	}
+	return n
 }
 
 // acquireSlot returns v's slot, giving v a free slot (or a new one) if it
-// has no live window edge. Serial insertion only — it mutates the slot
-// table.
+// has no live window edge, with its mirror filled from the cache. Serial
+// insertion only — it mutates the slot table.
 func (w *window) acquireSlot(v graph.VertexID) int32 {
 	if s, ok := w.slotOf[v]; ok {
 		return s
@@ -251,8 +466,20 @@ func (w *window) acquireSlot(v graph.VertexID) int32 {
 		s = int32(len(w.slotVertex))
 		w.slotVertex = append(w.slotVertex, v)
 		w.incident = append(w.incident, nil)
+		w.mirDeg = append(w.mirDeg, 0)
+		w.mirWords = append(w.mirWords, make([]uint64, w.wpe)...)
+		if w.engaged {
+			w.nbrs = append(w.nbrs, 0)
+			w.counts = append(w.counts, make([]int32, w.nparts)...)
+		}
 	}
 	w.slotOf[v] = s
+	w.popped = nil
+	deg, words := w.sc.cache.LookupWords(v)
+	w.mirDeg[s] = int32(deg)
+	mir := w.mirror(s)
+	clear(mir)
+	copy(mir, words)
 	return s
 }
 
@@ -276,20 +503,185 @@ func (w *window) unlink(s int32, ent *winEntry) {
 	w.incident[s] = live
 }
 
+// linkPair records one more live entry between distinct slots s and t.
+// When it is their first, each becomes the other's distinct neighbour:
+// its count and its mirrored bits join the other's counts.
+func (w *window) linkPair(s, t int32) {
+	if w.pairs.add(s, t) != 1 {
+		return
+	}
+	w.nbrs[s]++
+	w.nbrs[t]++
+	scatterCount(w.slotCounts(s), w.sc.partIdx, w.mirror(t), 1)
+	scatterCount(w.slotCounts(t), w.sc.partIdx, w.mirror(s), 1)
+}
+
+// unlinkPair records one live entry fewer between distinct slots s and t,
+// undoing linkPair when it was their last.
+func (w *window) unlinkPair(s, t int32) {
+	if w.pairs.sub(s, t) != 0 {
+		return
+	}
+	w.nbrs[s]--
+	w.nbrs[t]--
+	scatterCount(w.slotCounts(s), w.sc.partIdx, w.mirror(t), -1)
+	scatterCount(w.slotCounts(t), w.sc.partIdx, w.mirror(s), -1)
+}
+
+// engage builds the maintained counts and the pair table from the live
+// incident lists — O(window) — and switches scoring to the counts
+// producer. Serial only.
+func (w *window) engage() {
+	n := len(w.slotVertex)
+	w.nbrs = resizeZeroed(w.nbrs, n)
+	w.counts = resizeZeroed(w.counts, n*w.nparts)
+	w.pairs.reset(w.len())
+	w.engaged = true
+	w.ledger.engagements++
+	for s, list := range w.incident {
+		for _, inc := range list {
+			// Each entry sits in both endpoint lists; link it from the
+			// lower slot only. Self-loops link nothing.
+			if int32(s) < inc.other {
+				w.linkPair(int32(s), inc.other)
+			}
+		}
+	}
+}
+
+// drop switches scoring back to the walk producer. The counts go stale
+// and are rebuilt by the next engage.
+func (w *window) drop() { w.engaged = false }
+
+// resizeZeroed returns buf resized to n elements, all zero.
+func resizeZeroed(buf []int32, n int) []int32 {
+	if cap(buf) < n {
+		return make([]int32, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
+}
+
+// engagePeriod is the number of commits over which the window measures
+// the mean |N| per clustering evaluation before it reconsiders which
+// producer serves.
+const engagePeriod = 256
+
+// commit records the assignment of e to p through the scorer and keeps
+// the window's mirrors exact: it re-syncs the committed endpoints that
+// still hold a slot or, when the cache evicted vertices, every live slot.
+// Every engagePeriod commits it applies the engagement rule. It is the
+// only way to commit while the window is live. It reports which endpoints
+// gained a new replica.
+func (w *window) commit(e graph.Edge, p int) (newSrc, newDst bool) {
+	newSrc, newDst = w.sc.commit(e, p)
+	switch ent := w.popped; {
+	case w.sc.cache.EvictedVertices() != w.evicted:
+		w.evicted = w.sc.cache.EvictedVertices()
+		for s, list := range w.incident {
+			if len(list) > 0 {
+				w.sync(int32(s))
+			}
+		}
+	case ent != nil && ent.edge == e:
+		// The usual case: e is the entry the pop just removed.
+		if len(w.incident[ent.srcSlot]) > 0 {
+			w.sync(ent.srcSlot)
+		}
+		if ent.dstSlot != ent.srcSlot && len(w.incident[ent.dstSlot]) > 0 {
+			w.sync(ent.dstSlot)
+		}
+	default:
+		if s, ok := w.slotOf[e.Src]; ok {
+			w.sync(s)
+		}
+		if s, ok := w.slotOf[e.Dst]; ok && e.Dst != e.Src {
+			w.sync(s)
+		}
+	}
+	w.popped = nil
+	if w.sc.clustering {
+		if w.periodCommits++; w.periodCommits == engagePeriod {
+			w.adapt()
+		}
+	}
+	return newSrc, newDst
+}
+
+// sync re-reads slot s's degree and replica words from the cache. While
+// the counts are engaged, the bits s gained or lost move into the counts
+// of its distinct window neighbours.
+func (w *window) sync(s int32) {
+	deg, words := w.sc.cache.LookupWords(w.slotVertex[s])
+	w.mirDeg[s] = int32(deg)
+	mir := w.mirror(s)
+	changed := false
+	for i := range mir {
+		var now uint64
+		if words != nil {
+			now = words[i]
+		}
+		w.gain[i], w.loss[i] = now&^mir[i], mir[i]&^now
+		changed = changed || now != mir[i]
+		mir[i] = now
+	}
+	if !changed || !w.engaged {
+		return
+	}
+	stamps, epoch := w.sc.prime.nextEpoch(len(w.slotVertex))
+	stamps[s] = epoch
+	for _, inc := range w.incident[s] {
+		t := inc.other
+		if stamps[t] == epoch {
+			continue
+		}
+		stamps[t] = epoch
+		c := w.slotCounts(t)
+		scatterCount(c, w.sc.partIdx, w.gain, 1)
+		scatterCount(c, w.sc.partIdx, w.loss, -1)
+	}
+}
+
+// adapt closes an engagement period: it engages the counts when the
+// period's mean |N| per clustering evaluation reached |parts|, and drops
+// them when it fell below |parts|/2. Σ|N| and the op count are summed
+// over every scratch, so the decision is independent of the shard count.
+func (w *window) adapt() {
+	nSum, ops := w.sc.prime.nSum, w.sc.prime.scoreOps
+	if w.pool != nil {
+		for _, scr := range w.pool.scratch {
+			nSum, ops = nSum+scr.nSum, ops+scr.scoreOps
+		}
+	}
+	dn, dops := nSum-w.periodN, ops-w.periodOps
+	w.periodN, w.periodOps, w.periodCommits = nSum, ops, 0
+	parts := int64(w.nparts)
+	switch {
+	case !w.engaged && dops > 0 && dn >= parts*dops:
+		w.engage()
+	case w.engaged && 2*dn < parts*dops:
+		w.drop()
+	}
+}
+
 // add inserts a fresh stream edge into the window: score it once, classify
 // against Θ (§III-B step 1). In eager mode everything is a candidate.
 // This is the per-edge reference path; the refill hot path scores whole
 // batches through addBatch and only classifies serially.
 func (w *window) add(e graph.Edge) {
-	_, best, part := w.sc.scoreEdge(e, w.neighbors(e))
+	view := w.sc.view()
+	best, part := w.scoreFresh(&view, e, w.sc.prime)
+	w.account(&w.ledger.ops.Refill, 1)
 	w.insertScored(e, best, part)
 }
 
 // insertScored is the serial classify/insert half of an add: given the
 // fresh score and argmax partition of e, classify against the live Θ
 // (which drifts with every insert — classification is inherently
-// order-dependent and stays serial) and link the entry into its set and
-// the incident lists. Exactly the insertion semantics of add.
+// order-dependent and stays serial) and link the entry into its set, the
+// incident lists and, while engaged, the counts. Exactly the insertion
+// semantics of add.
 func (w *window) insertScored(e graph.Edge, best float64, part int) {
 	su, sv := w.acquireSlot(e.Src), w.acquireSlot(e.Dst)
 	ent := &winEntry{edge: e, score: best, part: part, srcSlot: su, dstSlot: sv}
@@ -302,6 +694,9 @@ func (w *window) insertScored(e graph.Edge, best float64, part int) {
 	w.incident[su] = append(w.incident[su], incidence{ent: ent, other: sv})
 	if sv != su {
 		w.incident[sv] = append(w.incident[sv], incidence{ent: ent, other: su})
+		if w.engaged {
+			w.linkPair(su, sv)
+		}
 	}
 }
 
@@ -315,12 +710,12 @@ func (w *window) insertScored(e graph.Edge, best float64, part int) {
 // set are frozen — one scoreView is exact for the entire batch, where the
 // per-edge path minted an identical view per add. The only window state
 // an insertion mutates that a later *score* could observe is the incident
-// lists (the clustering score's neighbourhood). markRefillConflicts
-// therefore flags every edge that shares an endpoint with an earlier
-// batch edge; non-conflicting edges see exactly the pre-batch
-// neighbourhood and score in the parallel phase, conflicting edges
-// re-score serially at their insertion point, against the live incident
-// lists, precisely as add would have. With the clustering score off the
+// lists, slots and counts (the clustering score's neighbourhood).
+// markRefillConflicts therefore flags every edge that shares an endpoint
+// with an earlier batch edge; non-conflicting edges see exactly the
+// pre-batch neighbourhood and score in the parallel phase, conflicting
+// edges re-score serially at their insertion point, against the live
+// window, precisely as add would have. With the clustering score off the
 // window never feeds back into scores at all and the whole batch
 // parallelises.
 //
@@ -332,6 +727,7 @@ func (w *window) addBatch(edges []graph.Edge) bool {
 		w.add(edges[0])
 		return false
 	}
+	w.account(&w.ledger.ops.Refill, len(edges))
 	view := w.sc.view()
 	conflict := w.markRefillConflicts(edges, view.clustering)
 
@@ -351,8 +747,7 @@ func (w *window) addBatch(edges []graph.Edge) bool {
 			if conflict != nil && conflict[i] {
 				continue
 			}
-			nbs := w.freshNeighbors(edges[i], scr)
-			_, best, part := view.scoreEdge(edges[i], nbs, scr)
+			best, part := w.scoreFresh(&view, edges[i], scr)
 			scores[i], parts[i] = best, int32(part)
 		}
 	})
@@ -362,8 +757,7 @@ func (w *window) addBatch(edges []graph.Edge) bool {
 			// The edge shares an endpoint with an earlier batch edge: its
 			// neighbourhood includes entries inserted moments ago, so
 			// score it here, at its stream position, like add would.
-			nbs := w.freshNeighbors(e, w.sc.prime)
-			_, best, part := view.scoreEdge(e, nbs, w.sc.prime)
+			best, part := w.scoreFresh(&view, e, w.sc.prime)
 			w.insertScored(e, best, part)
 			continue
 		}
@@ -447,15 +841,20 @@ func (w *window) detach(ent *winEntry) {
 // endpoint incident lists on the spot (and freeing an endpoint slot whose
 // list empties): removal is the only source of dead list entries, so
 // eager compaction here keeps every later walk — including the sharded
-// compute phases — free of removed entries.
+// compute phases — free of removed entries. While engaged, the pair
+// leaves the counts first, while both slots' mirrors are still live.
 func (w *window) remove(ent *winEntry) {
 	w.detach(ent)
 	ent.kind = removed
 	w.scoreSum -= ent.score
+	if ent.dstSlot != ent.srcSlot && w.engaged {
+		w.unlinkPair(ent.srcSlot, ent.dstSlot)
+	}
 	w.unlink(ent.srcSlot, ent)
 	if ent.dstSlot != ent.srcSlot {
 		w.unlink(ent.dstSlot, ent)
 	}
+	w.popped = ent
 }
 
 // updateScore refreshes ent's cached score in place — both the entry
@@ -504,18 +903,18 @@ func (w *window) snapshotSet(set []*winEntry) ([]*winEntry, []float64, []int32) 
 
 // scoreAll is the parallel compute phase: score every snapshot entry
 // against the pass view into its result slots (disjoint indices of the
-// flat score/part arrays). Workers read window state nobody mutates
-// during the pass; the shard id doubles as the scratch id.
-func (w *window) scoreAll(ents []*winEntry, view *scoreView, scores []float64, parts []int32) {
+// flat score/part arrays), booking the pass to phase. Workers read
+// window state nobody mutates during the pass; the shard id doubles as
+// the scratch id.
+func (w *window) scoreAll(phase *int64, ents []*winEntry, view *scoreView, scores []float64, parts []int32) {
+	w.account(phase, len(ents))
 	w.pool.forEach(len(ents), scoreGrainPerWorker, func(shard, lo, hi int) {
 		scr := w.sc.prime
 		if w.pool != nil {
 			scr = w.pool.scratch[shard]
 		}
 		for i := lo; i < hi; i++ {
-			ent := ents[i]
-			nbs := w.neighborsInto(ent.srcSlot, ent.dstSlot, scr)
-			_, best, part := view.scoreEdge(ent.edge, nbs, scr)
+			best, part := w.scoreEntry(view, ents[i], scr)
 			scores[i], parts[i] = best, int32(part)
 		}
 	})
@@ -580,7 +979,8 @@ func (w *window) popFreshFrom(set []*winEntry, scores []float64) (graph.Edge, in
 	idx, _ := w.pool.topTwoCached(scores)
 	best := set[idx]
 	view := w.sc.view()
-	_, fresh, part := view.scoreEdge(best.edge, w.neighborsInto(best.srcSlot, best.dstSlot, w.sc.prime), w.sc.prime)
+	fresh, part := w.scoreEntry(&view, best, w.sc.prime)
+	w.account(&w.ledger.ops.PopFresh, 1)
 	w.updateScore(best, fresh, part)
 	w.remove(best)
 	return best.edge, part, fresh, true
@@ -598,15 +998,23 @@ func (w *window) selectLazy() *winEntry {
 	const maxTries = 4
 	theta := w.theta()
 	view := w.sc.view()
+	w.ledger.selections++
 	for try := 0; try < maxTries; try++ {
 		if len(w.candidates) == 0 {
 			return nil
 		}
+		if try > 0 {
+			w.ledger.retries++
+		}
 		idx, second := w.pool.topTwoCached(w.candScores)
 		best := w.candidates[idx]
-		_, fresh, part := view.scoreEdge(best.edge, w.neighborsInto(best.srcSlot, best.dstSlot, w.sc.prime), w.sc.prime)
+		fresh, part := w.scoreEntry(&view, best, w.sc.prime)
+		w.account(&w.ledger.ops.Leader, 1)
 		w.updateScore(best, fresh, part)
 		if fresh >= second || len(w.candidates) == 1 {
+			if try == 0 {
+				w.ledger.firstTry++
+			}
 			return best
 		}
 		// The leader's score decayed below the runner-up: demote it if it
@@ -618,6 +1026,7 @@ func (w *window) selectLazy() *winEntry {
 		}
 	}
 	// Give up on laziness for this pop: full rescore, exact argmax.
+	w.ledger.fallbacks++
 	return w.rescoreCandidates()
 }
 
@@ -630,7 +1039,7 @@ func (w *window) rescoreCandidates() *winEntry {
 	theta := w.theta()
 	view := w.sc.view()
 	ents, scores, parts := w.snapshotSet(w.candidates)
-	w.scoreAll(ents, &view, scores, parts)
+	w.scoreAll(&w.ledger.ops.Rescore, ents, &view, scores, parts)
 
 	var best *winEntry
 	bestScore := 0.0
@@ -660,7 +1069,7 @@ func (w *window) rescanSecondary() {
 	theta := w.theta()
 	view := w.sc.view()
 	ents, scores, parts := w.snapshotSet(w.secondary)
-	w.scoreAll(ents, &view, scores, parts)
+	w.scoreAll(&w.ledger.ops.Rescan, ents, &view, scores, parts)
 
 	for i, ent := range ents {
 		w.updateScore(ent, scores[i], int(parts[i]))
@@ -693,13 +1102,137 @@ func (w *window) reassess(v graph.VertexID) {
 		if ent.kind != inSecondary || len(w.candidates) >= w.maxCand {
 			continue
 		}
-		nbs := w.neighborsInto(ent.srcSlot, ent.dstSlot, w.sc.prime)
-		_, score, part := view.scoreEdge(ent.edge, nbs, w.sc.prime)
+		score, part := w.scoreEntry(&view, ent, w.sc.prime)
+		w.account(&w.ledger.ops.Reassess, 1)
 		w.updateScore(ent, score, part)
 		if score > theta {
 			w.detach(ent)
 			w.pushCandidate(ent)
 			w.promotions++
+		}
+	}
+}
+
+// pairTable is the multiplicity table of the maintained counts: for every
+// unordered pair of distinct slots sharing live window entries, how many
+// entries they share. Flat open addressing with linear probing, keyed by
+// the ordered pair (lower slot in the high half); key 0 would be the pair
+// (0, 0), which never occurs, so it marks an empty cell. Deletion shifts
+// the rest of the probe run back, so the table needs no tombstones. The
+// load factor stays at most 1/2.
+type pairTable struct {
+	keys []uint64
+	mult []int32
+	n    int
+	mask uint64
+}
+
+// pairKey returns the table key of distinct slots s and t.
+func pairKey(s, t int32) uint64 {
+	if s > t {
+		s, t = t, s
+	}
+	return uint64(s)<<32 | uint64(t)
+}
+
+// home returns the first probe cell of key.
+func (pt *pairTable) home(key uint64) uint64 { return hashx.SplitMix64(key) & pt.mask }
+
+// reset empties the table, sized for about hint pairs.
+func (pt *pairTable) reset(hint int) {
+	cells := 64
+	for cells < 2*hint {
+		cells *= 2
+	}
+	if len(pt.keys) == cells {
+		clear(pt.keys)
+		clear(pt.mult)
+	} else {
+		pt.keys, pt.mult = make([]uint64, cells), make([]int32, cells)
+	}
+	pt.n, pt.mask = 0, uint64(cells-1)
+}
+
+// find returns the cell holding key, or the empty cell ending its probe
+// run.
+func (pt *pairTable) find(key uint64) uint64 {
+	i := pt.home(key)
+	for pt.keys[i] != 0 && pt.keys[i] != key {
+		i = (i + 1) & pt.mask
+	}
+	return i
+}
+
+// get returns the number of live entries slots s and t share.
+func (pt *pairTable) get(s, t int32) int32 {
+	return pt.mult[pt.find(pairKey(s, t))]
+}
+
+// add counts one more entry between s and t and returns the new
+// multiplicity.
+func (pt *pairTable) add(s, t int32) int32 {
+	key := pairKey(s, t)
+	i := pt.find(key)
+	if pt.keys[i] == 0 {
+		if 2*(pt.n+1) > len(pt.keys) {
+			pt.grow()
+			i = pt.find(key)
+		}
+		pt.keys[i] = key
+		pt.n++
+	}
+	pt.mult[i]++
+	return pt.mult[i]
+}
+
+// sub counts one entry fewer between s and t, which must share one, and
+// returns the new multiplicity; the pair leaves the table at zero.
+func (pt *pairTable) sub(s, t int32) int32 {
+	i := pt.find(pairKey(s, t))
+	pt.mult[i]--
+	m := pt.mult[i]
+	if m == 0 {
+		pt.delete(i)
+	}
+	return m
+}
+
+// delete empties cell i and moves back every later cell of its probe run
+// whose home does not lie cyclically in (i, j], so no lookup ever stops
+// early at the hole.
+func (pt *pairTable) delete(i uint64) {
+	pt.n--
+	for {
+		pt.keys[i], pt.mult[i] = 0, 0
+		j := i
+		for {
+			j = (j + 1) & pt.mask
+			if pt.keys[j] == 0 {
+				return
+			}
+			h := pt.home(pt.keys[j])
+			stays := h > i && h <= j
+			if i > j {
+				stays = h > i || h <= j
+			}
+			if !stays {
+				pt.keys[i], pt.mult[i] = pt.keys[j], pt.mult[j]
+				i = j
+				break
+			}
+		}
+	}
+}
+
+// grow doubles the table and reinserts every pair.
+func (pt *pairTable) grow() {
+	keys, mult := pt.keys, pt.mult
+	pt.keys, pt.mult = make([]uint64, 2*len(keys)), make([]int32, 2*len(keys))
+	pt.mask = uint64(len(pt.keys) - 1)
+	for c, key := range keys {
+		if key != 0 {
+			i := pt.find(key)
+			pt.keys[i], pt.mult[i] = key, mult[c]
 		}
 	}
 }

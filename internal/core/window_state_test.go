@@ -57,7 +57,7 @@ func TestPopBestSecondaryFallbackRescoresStaleEntry(t *testing.T) {
 
 	// Vertex 200 gains a replica on p0; the window caches the stale edge
 	// S while p0 is still the right answer.
-	sc.commit(graph.Edge{Src: 200, Dst: 299}, 0)
+	w.commit(graph.Edge{Src: 200, Dst: 299}, 0)
 	s := graph.Edge{Src: 200, Dst: 201}
 	w.add(s)
 	entS := findEntry(t, w, s)
@@ -69,9 +69,9 @@ func TestPopBestSecondaryFallbackRescoresStaleEntry(t *testing.T) {
 
 	// The cache moves on: 200 gains a p1 replica and p0 crowds up, so a
 	// fresh score now prefers p1 — but S's cache still says p0.
-	sc.commit(graph.Edge{Src: 200, Dst: 450}, 1)
-	sc.commit(graph.Edge{Src: 500, Dst: 501}, 0)
-	sc.commit(graph.Edge{Src: 502, Dst: 503}, 0)
+	w.commit(graph.Edge{Src: 200, Dst: 450}, 1)
+	w.commit(graph.Edge{Src: 500, Dst: 501}, 0)
+	w.commit(graph.Edge{Src: 502, Dst: 503}, 0)
 	wantScores, wantScore, wantPart := sc.scoreEdge(s, w.neighbors(s))
 	_ = wantScores
 	if wantPart == stalePart {
@@ -112,11 +112,11 @@ func TestPopBestSecondaryFallbackRescoresStaleEntry(t *testing.T) {
 // decayed leader was demoted depended on how many leaders had been
 // refreshed before it.
 func TestSelectLazyUsesThetaSnapshot(t *testing.T) {
-	w, sc := newTestWindow(2, 0.1, 64, false)
+	w, _ := newTestWindow(2, 0.1, 64, false)
 	// Balanced cache: vertex 1 replicated on p0, sizes equal, so edge
 	// (1,50) freshly scores exactly 1.5 (pure replication term).
-	sc.commit(graph.Edge{Src: 1, Dst: 2}, 0)
-	sc.commit(graph.Edge{Src: 3, Dst: 4}, 1)
+	w.commit(graph.Edge{Src: 1, Dst: 2}, 0)
+	w.commit(graph.Edge{Src: 3, Dst: 4}, 1)
 
 	// Seven cold secondary edges dilute Θ's denominator.
 	for i := 0; i < 7; i++ {
@@ -185,7 +185,7 @@ func churnWindow(t *testing.T, w *window, sc *scorer, ops int, seed int64) {
 			if !ok {
 				t.Fatal("popBest failed on non-empty window")
 			}
-			newSrc, newDst := sc.commit(e, p)
+			newSrc, newDst := w.commit(e, p)
 			if newSrc {
 				w.reassess(e.Src)
 			}

@@ -8,7 +8,7 @@ import (
 
 func newTestWindow(k int, epsilon float64, maxCand int, eager bool) (*window, *scorer) {
 	sc, _ := newTestScorer(k, 1.0, true, 100)
-	w := newWindow(sc, newScorePool(nil, 1, k, len(sc.parts)), epsilon, maxCand, eager)
+	w := newWindow(sc, newScorePool(nil, 1, len(sc.parts)), epsilon, maxCand, eager)
 	return w, sc
 }
 
@@ -33,9 +33,9 @@ func TestWindowClassification(t *testing.T) {
 	// scores above Θ and must enter the candidate set; a cold edge stays
 	// secondary. Partition sizes are kept balanced so the cold edge's
 	// balance term is exactly zero.
-	w, sc := newTestWindow(2, 0.1, 64, false)
-	sc.commit(graph.Edge{Src: 0, Dst: 1}, 0)
-	sc.commit(graph.Edge{Src: 20, Dst: 21}, 1)
+	w, _ := newTestWindow(2, 0.1, 64, false)
+	w.commit(graph.Edge{Src: 0, Dst: 1}, 0)
+	w.commit(graph.Edge{Src: 20, Dst: 21}, 1)
 
 	w.add(graph.Edge{Src: 50, Dst: 51}) // cold: zero score
 	w.add(graph.Edge{Src: 0, Dst: 60})  // hot: replication score on p0
@@ -61,8 +61,8 @@ func TestWindowEagerAllCandidates(t *testing.T) {
 }
 
 func TestWindowMaxCandidatesRespected(t *testing.T) {
-	w, sc := newTestWindow(2, 0.0, 2, false)
-	sc.commit(graph.Edge{Src: 0, Dst: 1}, 0)
+	w, _ := newTestWindow(2, 0.0, 2, false)
+	w.commit(graph.Edge{Src: 0, Dst: 1}, 0)
 	// Several hot edges, but the candidate cap is 2.
 	for i := 0; i < 5; i++ {
 		w.add(graph.Edge{Src: 0, Dst: graph.VertexID(100 + i)})
@@ -76,7 +76,7 @@ func TestWindowMaxCandidatesRespected(t *testing.T) {
 }
 
 func TestWindowPopBestDrainsEverything(t *testing.T) {
-	w, sc := newTestWindow(2, 0.1, 64, false)
+	w, _ := newTestWindow(2, 0.1, 64, false)
 	edges := []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 3, Dst: 4}, {Src: 2, Dst: 0}}
 	for _, e := range edges {
 		w.add(e)
@@ -94,7 +94,7 @@ func TestWindowPopBestDrainsEverything(t *testing.T) {
 			t.Fatalf("edge %v popped twice", e)
 		}
 		seen[e] = true
-		sc.commit(e, p)
+		w.commit(e, p)
 	}
 	if _, _, _, ok := w.popBest(); ok {
 		t.Error("popBest returned an edge from an empty window")
@@ -107,8 +107,8 @@ func TestWindowPopBestDrainsEverything(t *testing.T) {
 func TestWindowPopBestPrefersInformedEdge(t *testing.T) {
 	// The Figure 3(b) scenario: with e1 cold and e2 hot, the window must
 	// assign e2 first even though e1 arrived first.
-	w, sc := newTestWindow(2, 0.01, 64, false)
-	sc.commit(graph.Edge{Src: 10, Dst: 11}, 0) // warm up vertex 10 on p0
+	w, _ := newTestWindow(2, 0.01, 64, false)
+	w.commit(graph.Edge{Src: 10, Dst: 11}, 0) // warm up vertex 10 on p0
 
 	cold := graph.Edge{Src: 1, Dst: 2}
 	hot := graph.Edge{Src: 10, Dst: 3}
@@ -130,7 +130,7 @@ func TestWindowPopBestPrefersInformedEdge(t *testing.T) {
 }
 
 func TestWindowReassessPromotes(t *testing.T) {
-	w, sc := newTestWindow(2, 0.05, 64, false)
+	w, _ := newTestWindow(2, 0.05, 64, false)
 	// Cold edge lands in secondary.
 	cold := graph.Edge{Src: 7, Dst: 8}
 	w.add(cold)
@@ -139,7 +139,7 @@ func TestWindowReassessPromotes(t *testing.T) {
 	}
 	// An assignment creates a replica for vertex 7 — reassessing must
 	// promote the incident secondary edge past Θ.
-	sc.commit(graph.Edge{Src: 7, Dst: 9}, 1)
+	w.commit(graph.Edge{Src: 7, Dst: 9}, 1)
 	w.reassess(7)
 	if len(w.candidates) != 1 {
 		t.Errorf("reassess did not promote: %d/%d", len(w.candidates), len(w.secondary))
@@ -168,7 +168,7 @@ func TestWindowNeighborsFromWindowEdges(t *testing.T) {
 }
 
 func TestWindowIncidentCompaction(t *testing.T) {
-	w, sc := newTestWindow(2, 0.1, 64, false)
+	w, _ := newTestWindow(2, 0.1, 64, false)
 	e1 := graph.Edge{Src: 1, Dst: 2}
 	e2 := graph.Edge{Src: 1, Dst: 3}
 	w.add(e1)
@@ -179,7 +179,7 @@ func TestWindowIncidentCompaction(t *testing.T) {
 		if !ok {
 			t.Fatal("popBest failed")
 		}
-		sc.commit(e, p)
+		w.commit(e, p)
 	}
 	if s, ok := w.slotOf[1]; ok {
 		t.Errorf("vertex 1 still maps to slot %d (%d entries) after its last edge left", s, len(w.incident[s]))
@@ -195,9 +195,9 @@ func TestWindowIncidentCompaction(t *testing.T) {
 }
 
 func TestWindowScoreSumConsistency(t *testing.T) {
-	w, sc := newTestWindow(4, 0.1, 64, false)
-	sc.commit(graph.Edge{Src: 0, Dst: 1}, 0)
-	sc.commit(graph.Edge{Src: 2, Dst: 3}, 1)
+	w, _ := newTestWindow(4, 0.1, 64, false)
+	w.commit(graph.Edge{Src: 0, Dst: 1}, 0)
+	w.commit(graph.Edge{Src: 2, Dst: 3}, 1)
 	edges := []graph.Edge{{Src: 0, Dst: 5}, {Src: 2, Dst: 6}, {Src: 7, Dst: 8}, {Src: 0, Dst: 2}}
 	for _, e := range edges {
 		w.add(e)
@@ -217,6 +217,6 @@ func TestWindowScoreSumConsistency(t *testing.T) {
 		if !ok {
 			break
 		}
-		sc.commit(e, p)
+		w.commit(e, p)
 	}
 }
