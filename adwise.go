@@ -26,10 +26,13 @@
 package adwise
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"os"
+	"path/filepath"
 	"time"
 
 	"github.com/adwise-go/adwise/internal/core"
@@ -195,19 +198,49 @@ func Summarize(a *Assignment) Summary {
 
 // SaveAssignment writes a partitioning as "src dst partition" TSV rows —
 // the interchange format between the partitioning and processing tools.
-func SaveAssignment(path string, a *Assignment) error {
-	f, err := os.Create(path)
+// The rows go to a temporary file in the target's directory, which is
+// renamed over the target only once it is complete, so a failed save
+// leaves any previous file at path untouched and a reader never sees a
+// partial one. The save does not fsync: it guards against partial
+// files, not against a crash of the machine.
+func SaveAssignment(path string, a *Assignment) (err error) {
+	f, tmp, err := createSibling(path)
 	if err != nil {
 		return fmt.Errorf("adwise: creating %s: %w", path, err)
 	}
-	defer f.Close()
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(tmp)
+		}
+	}()
 	if err := a.WriteTSV(f); err != nil {
 		return err
 	}
 	if err := f.Close(); err != nil {
-		return fmt.Errorf("adwise: closing %s: %w", path, err)
+		return fmt.Errorf("adwise: closing %s: %w", tmp, err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return fmt.Errorf("adwise: replacing %s: %w", path, err)
 	}
 	return nil
+}
+
+// createSibling creates a new, uniquely named file in path's directory
+// with mode 0666 before the umask, the mode os.Create would give path
+// itself.
+func createSibling(path string) (*os.File, string, error) {
+	dir, base := filepath.Split(path)
+	var err error
+	for i := 0; i < 1000; i++ {
+		tmp := filepath.Join(dir, fmt.Sprintf(".%s.tmp-%d-%d", base, os.Getpid(), i))
+		var f *os.File
+		f, err = os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o666)
+		if !errors.Is(err, fs.ErrExist) {
+			return f, tmp, err
+		}
+	}
+	return nil, "", err
 }
 
 // LoadAssignment reads a partitioning written by SaveAssignment.

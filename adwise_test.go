@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -306,5 +307,91 @@ func TestPublicServingPath(t *testing.T) {
 	}
 	if store.Generation() != 2 {
 		t.Errorf("generation = %d, want 2", store.Generation())
+	}
+}
+
+// smallAssignment partitions a small generated graph.
+func smallAssignment(t *testing.T) *adwise.Assignment {
+	t.Helper()
+	g, err := adwise.ErdosRenyi(40, 120, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := adwise.NewADWISE(4, adwise.WithInitialWindow(8), adwise.WithFixedWindow())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := p.Run(adwise.StreamGraph(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// dirNames lists the names in dir.
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
+// TestSaveAssignmentReplacesExistingFile pins the save-by-rename contract
+// on success: a save over an existing file replaces its content and
+// leaves no temporary file behind.
+func TestSaveAssignmentReplacesExistingFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "parts.tsv")
+	if err := os.WriteFile(path, []byte("stale content\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	a := smallAssignment(t)
+	if err := adwise.SaveAssignment(path, a); err != nil {
+		t.Fatal(err)
+	}
+	back, err := adwise.LoadAssignment(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Len() != a.Len() {
+		t.Fatalf("reloaded %d rows, saved %d", back.Len(), a.Len())
+	}
+	for i := range a.Edges {
+		if back.Edges[i] != a.Edges[i] || back.Parts[i] != a.Parts[i] {
+			t.Fatalf("row %d: reloaded %v→%d, saved %v→%d", i, back.Edges[i], back.Parts[i], a.Edges[i], a.Parts[i])
+		}
+	}
+	if names := dirNames(t, dir); len(names) != 1 || names[0] != "parts.tsv" {
+		t.Errorf("directory holds %v after the save, want only parts.tsv", names)
+	}
+}
+
+// TestSaveAssignmentFailureLeavesTarget pins the save-by-rename contract
+// on failure: a save whose target is an existing directory fails, leaves
+// the directory and its content untouched, and leaves no temporary file.
+func TestSaveAssignmentFailureLeavesTarget(t *testing.T) {
+	dir := t.TempDir()
+	target := filepath.Join(dir, "out")
+	if err := os.Mkdir(target, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	keep := filepath.Join(target, "keep.txt")
+	if err := os.WriteFile(keep, []byte("keep me\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := adwise.SaveAssignment(target, smallAssignment(t)); err == nil {
+		t.Fatal("saving over a directory succeeded")
+	}
+	if got, err := os.ReadFile(keep); err != nil || string(got) != "keep me\n" {
+		t.Errorf("the target directory's content changed: %q, %v", got, err)
+	}
+	if names := dirNames(t, dir); len(names) != 1 || names[0] != "out" {
+		t.Errorf("directory holds %v after the failed save, want only out", names)
 	}
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -159,5 +160,59 @@ func TestMainSmoke(t *testing.T) {
 	// execute here beyond flag parsing failure handling via run().
 	if os.Getenv("GO_TEST_EXEC_MAIN") != "" {
 		main()
+	}
+}
+
+// TestRunTruncatedInputKeepsOutput pins the no-partial-output contract: a
+// run over a truncated input file fails, and a pre-existing -out file is
+// left byte-identical, with no temporary file beside it.
+func TestRunTruncatedInputKeepsOutput(t *testing.T) {
+	g, err := adwise.Community(10, 8, 0.9, 50, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	text, bin := filepath.Join(dir, "g.txt"), filepath.Join(dir, "g.bin")
+	for _, path := range []string{text, bin} {
+		if err := adwise.SaveGraph(path, g); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Cut the last record in half: a text line keeps only its source
+		// vertex, a binary record loses its last three bytes.
+		cut := len(raw) - 3
+		if path == text {
+			cut = bytes.LastIndexByte(raw, '\t') + 1
+		}
+		if err := os.WriteFile(path, raw[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	outDir := t.TempDir()
+	out := filepath.Join(outDir, "parts.tsv")
+	prev := []byte("0 1 0\n")
+	if err := os.WriteFile(out, prev, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range []string{text, bin} {
+		for _, args := range [][]string{
+			{"-algo", "hdrf"},
+			{"-algo", "adwise", "-window", "64"},
+			{"-algo", "adwise", "-z", "2", "-window", "16"},
+		} {
+			args = append([]string{"-in", in, "-k", "4", "-out", out}, args...)
+			if err := run(args); err == nil {
+				t.Errorf("run(%v) over a truncated input succeeded", args)
+			}
+			if got, err := os.ReadFile(out); err != nil || !bytes.Equal(got, prev) {
+				t.Fatalf("run(%v) changed the existing -out file: %q, %v", args, got, err)
+			}
+		}
+	}
+	if entries, err := os.ReadDir(outDir); err != nil || len(entries) != 1 {
+		t.Errorf("output directory holds %d entries (%v), want only the -out file", len(entries), err)
 	}
 }
