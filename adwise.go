@@ -210,8 +210,10 @@ func SaveAssignment(path string, a *Assignment) (err error) {
 	}
 	defer func() {
 		if err != nil {
-			f.Close()
-			os.Remove(tmp)
+			// Best effort: the save already failed, and a second close
+			// after the checked one below is harmless.
+			_ = f.Close()
+			_ = os.Remove(tmp)
 		}
 	}()
 	if err := a.WriteTSV(f); err != nil {

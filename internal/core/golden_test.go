@@ -232,7 +232,6 @@ func TestGoldenAssignmentDigests(t *testing.T) {
 			t.Errorf("%s: the maintained neighbour counts never engaged", c.name())
 		}
 		checkLedger(t, c.name(), st, c.clustering)
-		t.Logf("%s engage=%d walk=%d counts=%d evicted=%d", c.name(), st.CountEngagements, st.ClusterWalkEvals, st.ClusterCountEvals, st.EvictedVertices)
 		got[i] = line
 	}
 

@@ -295,6 +295,8 @@ func (w *window) slotCounts(s int32) []int32 {
 
 // endpoint returns the scoring input of vertex v with slot s: the slot
 // mirror, or one cache probe when v has no slot (s < 0).
+//
+//adwise:zeroalloc
 func (w *window) endpoint(v graph.VertexID, s int32) endpoint {
 	if s >= 0 {
 		return endpoint{deg: w.mirDeg[s], words: w.mirror(s)}
@@ -308,6 +310,8 @@ func (w *window) endpoint(v graph.VertexID, s int32) endpoint {
 // inputs come from whichever producer is engaged; with the clustering
 // score off neither runs. Read-only on the window, so safe for concurrent
 // calls with distinct scratches during a pass.
+//
+//adwise:zeroalloc
 func (w *window) score(view *scoreView, e graph.Edge, su, sv int32, scr *scoreScratch) (float64, int) {
 	src := w.endpoint(e.Src, su)
 	var dst endpoint
@@ -328,12 +332,16 @@ func (w *window) score(view *scoreView, e graph.Edge, su, sv int32, scr *scoreSc
 }
 
 // scoreEntry scores a live window entry through its stored slots.
+//
+//adwise:zeroalloc
 func (w *window) scoreEntry(view *scoreView, ent *winEntry, scr *scoreScratch) (float64, int) {
 	return w.score(view, ent.edge, ent.srcSlot, ent.dstSlot, scr)
 }
 
 // scoreFresh scores an edge that is not (yet) a window entry, resolving
 // its endpoints through the slot map.
+//
+//adwise:zeroalloc
 func (w *window) scoreFresh(view *scoreView, e graph.Edge, scr *scoreScratch) (float64, int) {
 	return w.score(view, e, w.slotOrNone(e.Src), w.slotOrNone(e.Dst), scr)
 }
@@ -1164,6 +1172,8 @@ func (pt *pairTable) find(key uint64) uint64 {
 }
 
 // get returns the number of live entries slots s and t share.
+//
+//adwise:zeroalloc
 func (pt *pairTable) get(s, t int32) int32 {
 	return pt.mult[pt.find(pairKey(s, t))]
 }
