@@ -177,12 +177,6 @@ type window struct {
 	counts  []int32
 	pairs   pairTable
 
-	// popped is the entry the last pop removed, reset when a vertex
-	// acquires a slot: while it is set, its endpoint slots are live exactly
-	// when their lists are non-empty, which spares commit two slot-map
-	// lookups.
-	popped *winEntry
-
 	// The engagement rule's period state: commits into the current period
 	// and the Σ|N| / score-op totals at its start.
 	periodCommits      int
@@ -482,7 +476,6 @@ func (w *window) acquireSlot(v graph.VertexID) int32 {
 		}
 	}
 	w.slotOf[v] = s
-	w.popped = nil
 	deg, words := w.sc.cache.LookupWords(v)
 	w.mirDeg[s] = int32(deg)
 	mir := w.mirror(s)
@@ -584,23 +577,14 @@ const engagePeriod = 256
 // gained a new replica.
 func (w *window) commit(e graph.Edge, p int) (newSrc, newDst bool) {
 	newSrc, newDst = w.sc.commit(e, p)
-	switch ent := w.popped; {
-	case w.sc.cache.EvictedVertices() != w.evicted:
-		w.evicted = w.sc.cache.EvictedVertices()
+	if ev := w.sc.cache.EvictedVertices(); ev != w.evicted {
+		w.evicted = ev
 		for s, list := range w.incident {
 			if len(list) > 0 {
 				w.sync(int32(s))
 			}
 		}
-	case ent != nil && ent.edge == e:
-		// The usual case: e is the entry the pop just removed.
-		if len(w.incident[ent.srcSlot]) > 0 {
-			w.sync(ent.srcSlot)
-		}
-		if ent.dstSlot != ent.srcSlot && len(w.incident[ent.dstSlot]) > 0 {
-			w.sync(ent.dstSlot)
-		}
-	default:
+	} else {
 		if s, ok := w.slotOf[e.Src]; ok {
 			w.sync(s)
 		}
@@ -608,7 +592,6 @@ func (w *window) commit(e graph.Edge, p int) (newSrc, newDst bool) {
 			w.sync(s)
 		}
 	}
-	w.popped = nil
 	if w.sc.clustering {
 		if w.periodCommits++; w.periodCommits == engagePeriod {
 			w.adapt()
@@ -862,7 +845,6 @@ func (w *window) remove(ent *winEntry) {
 	if ent.dstSlot != ent.srcSlot {
 		w.unlink(ent.dstSlot, ent)
 	}
-	w.popped = ent
 }
 
 // updateScore refreshes ent's cached score in place — both the entry
