@@ -198,7 +198,7 @@ func checkMirrorsAndCounts(t *testing.T, w *window) {
 		wantCounts := make([]int32, w.nparts)
 		for _, inc := range list {
 			if m, ok := mult[inc.other]; ok && m > 0 {
-				if got := w.pairs.get(int32(s), inc.other); got != m {
+				if got := w.pairs[pairKey(int32(s), inc.other)]; got != m {
 					t.Fatalf("pair (%d,%d) multiplicity %d, lists hold %d", s, inc.other, got, m)
 				}
 				_, words := w.sc.cache.LookupWords(w.slotVertex[inc.other])
@@ -216,21 +216,13 @@ func checkMirrorsAndCounts(t *testing.T, w *window) {
 			t.Fatalf("slot %d neighbour counts %v, recomputed %v", s, got, wantCounts)
 		}
 	}
-	cells := 0
-	for c, key := range w.pairs.keys {
-		if key == 0 {
-			continue
-		}
-		cells++
-		if w.pairs.mult[c] <= 0 {
-			t.Fatalf("pair cell %d holds key %#x with multiplicity %d", c, key, w.pairs.mult[c])
-		}
-		if got := w.pairs.find(key); got != uint64(c) {
-			t.Fatalf("pair key %#x sits in cell %d but probes to cell %d", key, c, got)
+	for key, m := range w.pairs {
+		if m <= 0 {
+			t.Fatalf("pair key %#x holds multiplicity %d", key, m)
 		}
 	}
-	if cells != pairs || w.pairs.n != pairs {
-		t.Fatalf("pair table holds %d cells (n=%d), lists link %d pairs", cells, w.pairs.n, pairs)
+	if len(w.pairs) != pairs {
+		t.Fatalf("pair table holds %d pairs, lists link %d", len(w.pairs), pairs)
 	}
 }
 

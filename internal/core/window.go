@@ -2,7 +2,6 @@ package core
 
 import (
 	"github.com/adwise-go/adwise/internal/graph"
-	"github.com/adwise-go/adwise/internal/hashx"
 )
 
 // window implements the edge window with lazy traversal (§III-B): edges are
@@ -90,11 +89,13 @@ import (
 // are large. The window therefore measures the mean |N| per clustering
 // evaluation over every period of engagePeriod commits: at |parts| or
 // more it engages the counts, building them from the live lists in
-// O(window); below |parts|/2 it drops them. The rule reads only work
-// counts, so it is deterministic, and both producers are exact, so which
-// one serves never changes a score. Counts, mirrors and the pair table
-// change only in the serial phases (insertScored, remove, commit,
-// engage); scoring passes only read them.
+// O(window); below |parts|/2 it drops them. Neither threshold sits at a
+// measured crossover of the two producers' costs (ARCHITECTURE.md says
+// which workloads were measured). The rule reads only work counts, so it
+// is deterministic, and both producers are exact, so which one serves
+// never changes a score. Counts, mirrors and the pair table change only
+// in the serial phases (insertScored, remove, commit, engage); scoring
+// passes only read them.
 //
 // Memory: with w the largest window, at most 2·w slots are live, each
 // mirroring ⌈k/64⌉ replica words and, while the counts are engaged,
@@ -169,13 +170,13 @@ type window struct {
 	// Maintained neighbour counts, valid while engaged: nbrs[s] = |D(s)|,
 	// the distinct other slots sharing a live entry with s, and
 	// counts[s*nparts+i] how many of them are replicated on the allowed
-	// partition parts[i]; pairs holds the live-entry multiplicity of every
-	// linked slot pair. Freed slots hold zero counts.
+	// partition parts[i]; pairs maps the pairKey of every linked slot pair
+	// to its live-entry multiplicity. Freed slots hold zero counts.
 	engaged bool
 	nparts  int
 	nbrs    []int32
 	counts  []int32
-	pairs   pairTable
+	pairs   map[uint64]int32
 
 	// The engagement rule's period state: commits into the current period
 	// and the Σ|N| / score-op totals at its start.
@@ -240,6 +241,7 @@ func newWindow(sc *scorer, pool *scorePool, epsilon float64, maxCand int, eager 
 		sc:      sc,
 		pool:    pool,
 		slotOf:  make(map[graph.VertexID]int32, 256),
+		pairs:   make(map[uint64]int32),
 		wpe:     wpe,
 		evicted: sc.cache.EvictedVertices(),
 		gain:    make([]uint64, wpe),
@@ -400,7 +402,7 @@ func (w *window) walkSlot(s int32, stamps []uint32, epoch uint32, cs []int32) in
 // endpoints' count vectors into scr.cs and returns |N(u)∪N(v)| =
 // |D(u)| + |D(v)| − |D(u)∩D(v)| − 2·[u~v], subtracting the same terms from
 // the counts. The overlap and the adjacency are found by walking the
-// shorter endpoint list, one pair-table probe per distinct neighbour.
+// shorter endpoint list, one pairs lookup per distinct neighbour.
 // Requires engaged counts.
 //
 //adwise:zeroalloc
@@ -439,7 +441,7 @@ func (w *window) countedNeighborhood(su, sv int32, scr *scoreScratch) int {
 			adjacent = true
 			continue
 		}
-		if w.pairs.get(b, t) > 0 {
+		if w.pairs[pairKey(b, t)] > 0 {
 			n--
 			scatterCount(cs, w.sc.partIdx, w.mirror(t), -1)
 		}
@@ -504,11 +506,23 @@ func (w *window) unlink(s int32, ent *winEntry) {
 	w.incident[s] = live
 }
 
+// pairKey returns the pairs key of distinct slots s and t: the lower slot
+// in the high half.
+func pairKey(s, t int32) uint64 {
+	if s > t {
+		s, t = t, s
+	}
+	return uint64(s)<<32 | uint64(t)
+}
+
 // linkPair records one more live entry between distinct slots s and t.
 // When it is their first, each becomes the other's distinct neighbour:
 // its count and its mirrored bits join the other's counts.
 func (w *window) linkPair(s, t int32) {
-	if w.pairs.add(s, t) != 1 {
+	key := pairKey(s, t)
+	m := w.pairs[key] + 1
+	w.pairs[key] = m
+	if m > 1 {
 		return
 	}
 	w.nbrs[s]++
@@ -520,9 +534,12 @@ func (w *window) linkPair(s, t int32) {
 // unlinkPair records one live entry fewer between distinct slots s and t,
 // undoing linkPair when it was their last.
 func (w *window) unlinkPair(s, t int32) {
-	if w.pairs.sub(s, t) != 0 {
+	key := pairKey(s, t)
+	if m := w.pairs[key] - 1; m > 0 {
+		w.pairs[key] = m
 		return
 	}
+	delete(w.pairs, key)
 	w.nbrs[s]--
 	w.nbrs[t]--
 	scatterCount(w.slotCounts(s), w.sc.partIdx, w.mirror(t), -1)
@@ -536,7 +553,7 @@ func (w *window) engage() {
 	n := len(w.slotVertex)
 	w.nbrs = resizeZeroed(w.nbrs, n)
 	w.counts = resizeZeroed(w.counts, n*w.nparts)
-	w.pairs.reset(w.len())
+	clear(w.pairs)
 	w.engaged = true
 	w.ledger.engagements++
 	for s, list := range w.incident {
@@ -1099,132 +1116,6 @@ func (w *window) reassess(v graph.VertexID) {
 			w.detach(ent)
 			w.pushCandidate(ent)
 			w.promotions++
-		}
-	}
-}
-
-// pairTable is the multiplicity table of the maintained counts: for every
-// unordered pair of distinct slots sharing live window entries, how many
-// entries they share. Flat open addressing with linear probing, keyed by
-// the ordered pair (lower slot in the high half); key 0 would be the pair
-// (0, 0), which never occurs, so it marks an empty cell. Deletion shifts
-// the rest of the probe run back, so the table needs no tombstones. The
-// load factor stays at most 1/2.
-type pairTable struct {
-	keys []uint64
-	mult []int32
-	n    int
-	mask uint64
-}
-
-// pairKey returns the table key of distinct slots s and t.
-func pairKey(s, t int32) uint64 {
-	if s > t {
-		s, t = t, s
-	}
-	return uint64(s)<<32 | uint64(t)
-}
-
-// home returns the first probe cell of key.
-func (pt *pairTable) home(key uint64) uint64 { return hashx.SplitMix64(key) & pt.mask }
-
-// reset empties the table, sized for about hint pairs.
-func (pt *pairTable) reset(hint int) {
-	cells := 64
-	for cells < 2*hint {
-		cells *= 2
-	}
-	if len(pt.keys) == cells {
-		clear(pt.keys)
-		clear(pt.mult)
-	} else {
-		pt.keys, pt.mult = make([]uint64, cells), make([]int32, cells)
-	}
-	pt.n, pt.mask = 0, uint64(cells-1)
-}
-
-// find returns the cell holding key, or the empty cell ending its probe
-// run.
-func (pt *pairTable) find(key uint64) uint64 {
-	i := pt.home(key)
-	for pt.keys[i] != 0 && pt.keys[i] != key {
-		i = (i + 1) & pt.mask
-	}
-	return i
-}
-
-// get returns the number of live entries slots s and t share.
-//
-//adwise:zeroalloc
-func (pt *pairTable) get(s, t int32) int32 {
-	return pt.mult[pt.find(pairKey(s, t))]
-}
-
-// add counts one more entry between s and t and returns the new
-// multiplicity.
-func (pt *pairTable) add(s, t int32) int32 {
-	key := pairKey(s, t)
-	i := pt.find(key)
-	if pt.keys[i] == 0 {
-		if 2*(pt.n+1) > len(pt.keys) {
-			pt.grow()
-			i = pt.find(key)
-		}
-		pt.keys[i] = key
-		pt.n++
-	}
-	pt.mult[i]++
-	return pt.mult[i]
-}
-
-// sub counts one entry fewer between s and t, which must share one, and
-// returns the new multiplicity; the pair leaves the table at zero.
-func (pt *pairTable) sub(s, t int32) int32 {
-	i := pt.find(pairKey(s, t))
-	pt.mult[i]--
-	m := pt.mult[i]
-	if m == 0 {
-		pt.delete(i)
-	}
-	return m
-}
-
-// delete empties cell i and moves back every later cell of its probe run
-// whose home does not lie cyclically in (i, j], so no lookup ever stops
-// early at the hole.
-func (pt *pairTable) delete(i uint64) {
-	pt.n--
-	for {
-		pt.keys[i], pt.mult[i] = 0, 0
-		j := i
-		for {
-			j = (j + 1) & pt.mask
-			if pt.keys[j] == 0 {
-				return
-			}
-			h := pt.home(pt.keys[j])
-			stays := h > i && h <= j
-			if i > j {
-				stays = h > i || h <= j
-			}
-			if !stays {
-				pt.keys[i], pt.mult[i] = pt.keys[j], pt.mult[j]
-				i = j
-				break
-			}
-		}
-	}
-}
-
-// grow doubles the table and reinserts every pair.
-func (pt *pairTable) grow() {
-	keys, mult := pt.keys, pt.mult
-	pt.keys, pt.mult = make([]uint64, 2*len(keys)), make([]int32, 2*len(keys))
-	pt.mask = uint64(len(pt.keys) - 1)
-	for c, key := range keys {
-		if key != 0 {
-			i := pt.find(key)
-			pt.keys[i], pt.mult[i] = key, mult[c]
 		}
 	}
 }
