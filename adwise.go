@@ -201,10 +201,15 @@ func Summarize(a *Assignment) Summary {
 // The rows go to a temporary file in the target's directory, which is
 // renamed over the target only once it is complete, so a failed save
 // leaves any previous file at path untouched and a reader never sees a
-// partial one. The save does not fsync: it guards against partial
-// files, not against a crash of the machine.
+// partial one. An existing target is replaced where it lives: a symlink
+// is followed to the file it names, and that file's permission bits are
+// kept, as truncating it in place would. Its owner and any other hard
+// links are not: the rename puts a new file, owned by the caller, in its
+// place. The save does not fsync: it guards against partial files, not
+// against a crash of the machine.
 func SaveAssignment(path string, a *Assignment) (err error) {
-	f, tmp, err := createSibling(path)
+	target, perm, exists := saveTarget(path)
+	f, tmp, err := createSibling(target)
 	if err != nil {
 		return fmt.Errorf("adwise: creating %s: %w", path, err)
 	}
@@ -216,21 +221,40 @@ func SaveAssignment(path string, a *Assignment) (err error) {
 			_ = os.Remove(tmp)
 		}
 	}()
+	if exists {
+		if err := f.Chmod(perm); err != nil {
+			return fmt.Errorf("adwise: setting the mode of %s: %w", tmp, err)
+		}
+	}
 	if err := a.WriteTSV(f); err != nil {
 		return err
 	}
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("adwise: closing %s: %w", tmp, err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := os.Rename(tmp, target); err != nil {
 		return fmt.Errorf("adwise: replacing %s: %w", path, err)
 	}
 	return nil
 }
 
+// saveTarget resolves the file a save to path replaces: path with its
+// symlinks evaluated, and, when that is an existing regular file, its
+// permission bits. When nothing exists at path yet it returns path.
+func saveTarget(path string) (target string, perm fs.FileMode, exists bool) {
+	target, err := filepath.EvalSymlinks(path)
+	if err != nil {
+		return path, 0, false
+	}
+	fi, err := os.Stat(target)
+	if err != nil || !fi.Mode().IsRegular() {
+		return target, 0, false
+	}
+	return target, fi.Mode().Perm(), true
+}
+
 // createSibling creates a new, uniquely named file in path's directory
-// with mode 0666 before the umask, the mode os.Create would give path
-// itself.
+// with mode 0666 before the umask, the mode os.Create gives a new file.
 func createSibling(path string) (*os.File, string, error) {
 	dir, base := filepath.Split(path)
 	var err error

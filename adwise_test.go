@@ -395,3 +395,55 @@ func TestSaveAssignmentFailureLeavesTarget(t *testing.T) {
 		t.Errorf("directory holds %v after the failed save, want only out", names)
 	}
 }
+
+// TestSaveAssignmentKeepsModeAndSymlink pins that a save replaces an
+// existing target the way truncating it in place would: a 0600 file stays
+// 0600, and a save through a symlink in another directory writes the file
+// it names, leaving the link a link and no temporary file in either
+// directory.
+func TestSaveAssignmentKeepsModeAndSymlink(t *testing.T) {
+	dataDir, linkDir := t.TempDir(), t.TempDir()
+	path := filepath.Join(dataDir, "parts.tsv")
+	if err := os.WriteFile(path, []byte("stale content\n"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chmod(path, 0o600); err != nil { // independent of the umask
+		t.Fatal(err)
+	}
+	link := filepath.Join(linkDir, "out.tsv")
+	if err := os.Symlink(path, link); err != nil {
+		t.Fatal(err)
+	}
+	a := smallAssignment(t)
+	for _, save := range []string{path, link} {
+		if err := adwise.SaveAssignment(save, a); err != nil {
+			t.Fatalf("save to %s: %v", save, err)
+		}
+		fi, err := os.Lstat(link)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Mode()&os.ModeSymlink == 0 {
+			t.Fatalf("after the save to %s, %s has mode %v, want a symlink", save, link, fi.Mode())
+		}
+		if fi, err = os.Stat(path); err != nil {
+			t.Fatal(err)
+		}
+		if fi.Mode().Perm() != 0o600 {
+			t.Fatalf("after the save to %s, the file has mode %v, want 0600", save, fi.Mode().Perm())
+		}
+		back, err := adwise.LoadAssignment(path)
+		if err != nil {
+			t.Fatalf("after the save to %s: %v", save, err)
+		}
+		if back.Len() != a.Len() {
+			t.Fatalf("after the save to %s, the file holds %d rows, saved %d", save, back.Len(), a.Len())
+		}
+		if names := dirNames(t, dataDir); len(names) != 1 || names[0] != "parts.tsv" {
+			t.Errorf("after the save to %s, %v holds %v, want only parts.tsv", save, dataDir, names)
+		}
+		if names := dirNames(t, linkDir); len(names) != 1 || names[0] != "out.tsv" {
+			t.Errorf("after the save to %s, %v holds %v, want only out.tsv", save, linkDir, names)
+		}
+	}
+}
