@@ -240,7 +240,8 @@ func SaveAssignment(path string, a *Assignment) (err error) {
 
 // saveTarget resolves the file a save to path replaces: path with its
 // symlinks evaluated, and, when that is an existing regular file, its
-// permission bits. When nothing exists at path yet it returns path.
+// permission bits. When path does not resolve (nothing exists there yet,
+// or it is a dangling symlink) it returns path itself.
 func saveTarget(path string) (target string, perm fs.FileMode, exists bool) {
 	target, err := filepath.EvalSymlinks(path)
 	if err != nil {
