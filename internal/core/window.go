@@ -89,13 +89,14 @@ import (
 // are large. The window therefore measures the mean |N| per clustering
 // evaluation over every period of engagePeriod commits: at |parts| or
 // more it engages the counts, building them from the live lists in
-// O(window); below |parts|/2 it drops them. Neither threshold sits at a
-// measured crossover of the two producers' costs (ARCHITECTURE.md says
-// which workloads were measured). The rule reads only work counts, so it
-// is deterministic, and both producers are exact, so which one serves
-// never changes a score. Counts, mirrors and the pair table change only
-// in the serial phases (insertScored, remove, commit, engage); scoring
-// passes only read them.
+// O(window); below |parts|/2 it drops them. The thresholds are not
+// placed at a measured crossover of the two producers' costs: at
+// |parts| = 32 the counts measured faster from a mean |N| well below
+// |parts| (ARCHITECTURE.md). The rule reads only work counts, so it is
+// deterministic, and both producers are exact, so which one serves never
+// changes a score. Counts, mirrors and the pair table change only in the
+// serial phases (insertScored, remove, commit, engage); scoring passes
+// only read them.
 //
 // Memory: with w the largest window, at most 2·w slots are live, each
 // mirroring ⌈k/64⌉ replica words and, while the counts are engaged,
