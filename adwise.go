@@ -433,7 +433,11 @@ func BuildIndex(a *Assignment) (*LookupIndex, error) { return serve.Build(a) }
 func NewLookupStore(idx *LookupIndex) *LookupStore { return serve.NewStore(idx) }
 
 // ServeHandler returns the lookup service's HTTP API over a store:
-// /v1/edge, /v1/vertex, /v1/edges (batch), /v1/stats, /healthz.
+// /v1/edge, /v1/vertex, /v1/edges (batch), /v1/stats, /healthz. A batch
+// body must be exactly {"edges":[[src,dst],...]}: one case-sensitive
+// "edges" key, 1 to 65,536 pairs of two unsigned 32-bit integers in
+// canonical form, whitespace only between tokens and after the object,
+// at most 4 MiB. Anything else is answered 400.
 func ServeHandler(s *LookupStore) http.Handler { return serve.NewHandler(s) }
 
 // NewLookupServer wraps a handler (typically ServeHandler, possibly

@@ -1,9 +1,11 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -91,6 +93,75 @@ func TestServeFromAssignment(t *testing.T) {
 	}
 	if out.Generation != 2 {
 		t.Errorf("generation after reload = %d, want 2", out.Generation)
+	}
+
+	// A failed reload keeps serving the old generation: first a copy cut
+	// at a row boundary, whose header edge count then disagrees with its
+	// rows, then garbage.
+	full, err := os.ReadFile(parts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	truncated := full[:bytes.LastIndexByte(full[:len(full)/2], '\n')+1]
+	for _, bad := range [][]byte{truncated, []byte("not an assignment\n\x00\xff")} {
+		if err := os.WriteFile(parts, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := srv.Client().Post(srv.URL+"/v1/reload", "application/json", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("reload of a %d-byte bad file = %d, want 500", len(bad), resp.StatusCode)
+		}
+		checkOldGeneration(t, srv, a.Edges, want)
+	}
+}
+
+// checkOldGeneration checks that srv still reports generation 2 and
+// answers a batch of every assignment edge from the index that generation
+// was built from.
+func checkOldGeneration(t *testing.T, srv *httptest.Server, edges []adwise.Edge, want map[adwise.Edge]int32) {
+	t.Helper()
+	resp, err := srv.Client().Get(srv.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var health struct {
+		Generation uint64 `json:"generation"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&health)
+	resp.Body.Close()
+	if err != nil || health.Generation != 2 {
+		t.Fatalf("healthz after a failed reload: generation %d (%v), want 2", health.Generation, err)
+	}
+
+	pairs := make([][2]uint32, len(edges))
+	for i, e := range edges {
+		pairs[i] = [2]uint32{uint32(e.Src), uint32(e.Dst)}
+	}
+	body, err := json.Marshal(map[string]any{"edges": pairs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err = srv.Client().Post(srv.URL+"/v1/edges", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out struct {
+		Partitions []int32 `json:"partitions"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&out)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || err != nil || len(out.Partitions) != len(edges) {
+		t.Fatalf("batch after a failed reload: status %d, %d partitions for %d edges (%v)",
+			resp.StatusCode, len(out.Partitions), len(edges), err)
+	}
+	for i, e := range edges {
+		if out.Partitions[i] != want[e] {
+			t.Fatalf("batch after a failed reload: edge %v served %d, want %d", e, out.Partitions[i], want[e])
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	gort "runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -79,6 +80,11 @@ func Serve(cfg Config) (*Table, error) {
 		batchRequests = 50
 	}
 
+	batches := batchBodies(a.Edges, 8)
+	if err := checkServe(ix, a.Edges, batches); err != nil {
+		return nil, fmt.Errorf("bench: serve answers: %w", err)
+	}
+
 	cores := gort.GOMAXPROCS(0)
 	sweep := []int{1, cores, 2 * cores}
 	prev := 0
@@ -92,7 +98,7 @@ func Serve(cfg Config) (*Table, error) {
 			if ep == "edges" {
 				reqs = batchRequests
 			}
-			cell, err := serveCell(ix, a.Edges, ep, conc, reqs, cfg.clock())
+			cell, err := serveCell(ix, a.Edges, batches, ep, conc, reqs, cfg.clock())
 			if err != nil {
 				return tab, fmt.Errorf("bench: serve %s conc=%d: %w", ep, conc, err)
 			}
@@ -116,34 +122,98 @@ type serveResult struct {
 	p50, p99      time.Duration
 }
 
-// serveCell serves ix on a fresh loopback listener with a fresh registry
-// and drives it with conc closed-loop workers issuing total requests.
-func serveCell(ix *serve.Index, edges []graph.Edge, endpoint string, conc, total int, clk clock.Clock) (serveResult, error) {
-	reg := metric.New()
-	ins := serve.NewInstruments(reg)
-	store := serve.NewStore(ix)
-	srv := serve.NewServer(serve.NewInstrumentedHandler(store, ins))
+// serveLoopback serves h on a fresh loopback listener and returns its
+// base URL and a function that shuts the server down and waits for it.
+func serveLoopback(h http.Handler) (string, func(), error) {
+	srv := serve.NewServer(h)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return serveResult{}, err
+		return "", nil, err
 	}
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.Serve(ln) }()
-	defer func() {
+	stop := func() {
 		srv.Close()
 		<-serveDone
-	}()
-	base := "http://" + ln.Addr().String()
+	}
+	return "http://" + ln.Addr().String(), stop, nil
+}
+
+// checkServe checks the handler's answers before any timing, so a codec
+// that served wrong partitions cannot pass on status codes alone: every
+// pre-built batch body against Index.PartitionBatch over that body's
+// edges, and a sample of single-edge lookups against Index.Partition.
+func checkServe(ix *serve.Index, edges []graph.Edge, batches []serveBatch) error {
+	base, stop, err := serveLoopback(serve.NewHandler(serve.NewStore(ix)))
+	if err != nil {
+		return err
+	}
+	defer stop()
+	transport := &http.Transport{}
+	defer transport.CloseIdleConnections()
+	client := &http.Client{Transport: transport, Timeout: 30 * time.Second}
+	// fetch GETs url, or POSTs body to it when body is non-nil, and
+	// decodes a 200 answer into out.
+	fetch := func(url string, body []byte, out any) error {
+		var (
+			resp *http.Response
+			err  error
+		)
+		if body == nil {
+			resp, err = client.Get(url)
+		} else {
+			resp, err = client.Post(url, "application/json", bytes.NewReader(body))
+		}
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("status %d", resp.StatusCode)
+		}
+		return json.NewDecoder(resp.Body).Decode(out)
+	}
+
+	for b, batch := range batches {
+		var out struct {
+			Partitions []int32 `json:"partitions"`
+		}
+		if err := fetch(base+"/v1/edges", batch.body, &out); err != nil {
+			return fmt.Errorf("batch %d: %w", b, err)
+		}
+		if want := ix.PartitionBatch(batch.edges, nil); !slices.Equal(out.Partitions, want) {
+			return fmt.Errorf("batch %d: served partitions differ from the index", b)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		e := edges[(i*16381)%len(edges)]
+		var out struct {
+			Partition int32 `json:"partition"`
+		}
+		if err := fetch(fmt.Sprintf("%s/v1/edge?src=%d&dst=%d", base, e.Src, e.Dst), nil, &out); err != nil {
+			return fmt.Errorf("edge %v: %w", e, err)
+		}
+		if want, _ := ix.Partition(e.Src, e.Dst); out.Partition != want {
+			return fmt.Errorf("edge %v: served partition %d, the index holds %d", e, out.Partition, want)
+		}
+	}
+	return nil
+}
+
+// serveCell serves ix on a fresh loopback listener with a fresh registry
+// and drives it with conc closed-loop workers issuing total requests;
+// batch workers cycle through the pre-built batches.
+func serveCell(ix *serve.Index, edges []graph.Edge, batches []serveBatch, endpoint string, conc, total int, clk clock.Clock) (serveResult, error) {
+	reg := metric.New()
+	base, stop, err := serveLoopback(serve.NewInstrumentedHandler(serve.NewStore(ix), serve.NewInstruments(reg)))
+	if err != nil {
+		return serveResult{}, err
+	}
+	defer stop()
 
 	transport := &http.Transport{MaxIdleConns: conc * 2, MaxIdleConnsPerHost: conc * 2}
 	defer transport.CloseIdleConnections()
 	client := &http.Client{Transport: transport, Timeout: 30 * time.Second}
-
-	// Pre-build the batch bodies once; workers cycle through them.
-	var bodies [][]byte
-	if endpoint == "edges" {
-		bodies = batchBodies(edges, 8)
-	}
 
 	var (
 		next     atomic.Int64
@@ -174,7 +244,7 @@ func serveCell(ix *serve.Index, edges []graph.Edge, endpoint string, conc, total
 				)
 				if endpoint == "edges" {
 					resp, err = client.Post(base+"/v1/edges", "application/json",
-						bytes.NewReader(bodies[i%len(bodies)]))
+						bytes.NewReader(batches[i%len(batches)].body))
 				} else {
 					e := edges[(i*16381)%len(edges)]
 					resp, err = client.Get(fmt.Sprintf("%s/v1/edge?src=%d&dst=%d", base, e.Src, e.Dst))
@@ -213,18 +283,27 @@ func serveCell(ix *serve.Index, edges []graph.Edge, endpoint string, conc, total
 	}, nil
 }
 
-// batchBodies builds n distinct /v1/edges request bodies of serveBatchSize
+// serveBatch is one pre-built /v1/edges request body and the edges it
+// carries.
+type serveBatch struct {
+	body  []byte
+	edges []graph.Edge
+}
+
+// batchBodies builds n distinct /v1/edges requests of serveBatchSize
 // edges each, striding through the edge list so bodies differ.
-func batchBodies(edges []graph.Edge, n int) [][]byte {
-	bodies := make([][]byte, 0, n)
+func batchBodies(edges []graph.Edge, n int) []serveBatch {
+	batches := make([]serveBatch, 0, n)
 	for b := 0; b < n; b++ {
+		batch := serveBatch{edges: make([]graph.Edge, serveBatchSize)}
 		pairs := make([][2]uint32, serveBatchSize)
 		for i := range pairs {
 			e := edges[(b*serveBatchSize*7+i*31)%len(edges)]
+			batch.edges[i] = e
 			pairs[i] = [2]uint32{uint32(e.Src), uint32(e.Dst)}
 		}
-		body, _ := json.Marshal(map[string]any{"edges": pairs})
-		bodies = append(bodies, body)
+		batch.body, _ = json.Marshal(map[string]any{"edges": pairs})
+		batches = append(batches, batch)
 	}
-	return bodies
+	return batches
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"net/http"
 	"testing"
 
 	"github.com/adwise-go/adwise/internal/graph"
@@ -57,6 +58,24 @@ func BenchmarkLookupPartitionBatch(b *testing.B) {
 		dst = ix.PartitionBatch(edges, dst)
 	}
 	b.SetBytes(int64(len(edges)))
+}
+
+// BenchmarkLookupBatchHandler measures one 256-edge POST /v1/edges
+// through the uninstrumented handler, from body bytes to response bytes:
+// the wire codec plus the index work, without a network.
+func BenchmarkLookupBatchHandler(b *testing.B) {
+	ix, edges := benchIndex(b)
+	edges = edges[:256]
+	w, serveOnce := batchReplay(NewHandler(NewStore(ix)), batchJSON(edges))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serveOnce()
+	}
+	b.SetBytes(int64(len(edges)))
+	if w.status != http.StatusOK {
+		b.Fatalf("status = %d, want 200", w.status)
+	}
 }
 
 // BenchmarkLookupParallel drives the single-edge path from all cores

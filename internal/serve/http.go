@@ -44,6 +44,13 @@ const maxBatchBodyBytes = MaxBatch * 64
 //	POST /v1/edges {"edges":[[s,d],…]} batch edge lookup
 //	GET  /v1/stats                    index statistics + uptime (+ metrics when instrumented)
 //
+// The /v1/edges body must match the strict grammar in wire.go: exactly
+// {"edges":[[src,dst],...]} with one case-sensitive "edges" key, 1 to
+// MaxBatch pairs of exactly two integers in [0, 2^32) without signs,
+// fractions, exponents or leading zeros, only JSON whitespace between
+// tokens and around the object, and at most 4 MiB in all. Anything else
+// is a 400. The answer is {"partitions":[p,...]}, -1 for unknown edges.
+//
 // Every handler resolves the store view once and answers entirely from
 // that immutable snapshot, so responses stay self-consistent across a
 // concurrent Swap.
@@ -181,39 +188,6 @@ func handleVertex(w http.ResponseWriter, r *http.Request, ix *Index) {
 		"count":    replicas.Count(),
 		"replicas": replicas.Members(),
 	})
-}
-
-// batchRequest is the /v1/edges body: edges as [src,dst] pairs.
-type batchRequest struct {
-	Edges [][2]uint32 `json:"edges"`
-}
-
-// handleEdgeBatch answers a batch lookup and reports how many edges it
-// resolved (0 on any rejection), so instrumented handlers can meter
-// lookup throughput rather than just request counts.
-func handleEdgeBatch(w http.ResponseWriter, r *http.Request, ix *Index) int {
-	var req batchRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBatchBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding body: "+err.Error())
-		return 0
-	}
-	if len(req.Edges) == 0 {
-		writeError(w, http.StatusBadRequest, "empty edge batch")
-		return 0
-	}
-	if len(req.Edges) > MaxBatch {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("batch of %d edges exceeds the %d cap", len(req.Edges), MaxBatch))
-		return 0
-	}
-	edges := make([]graph.Edge, len(req.Edges))
-	for i, pair := range req.Edges {
-		edges[i] = graph.Edge{Src: graph.VertexID(pair[0]), Dst: graph.VertexID(pair[1])}
-	}
-	parts := ix.PartitionBatch(edges, make([]int32, 0, len(edges)))
-	writeJSON(w, http.StatusOK, map[string]any{"partitions": parts})
-	return len(edges)
 }
 
 func vertexParam(r *http.Request, name string) (graph.VertexID, error) {
