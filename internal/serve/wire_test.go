@@ -251,8 +251,8 @@ func TestAppendPartitionsMatchesEncodingJSON(t *testing.T) {
 // in both of encoding/json's layouts.
 func FuzzBatchBody(f *testing.F) {
 	for _, tc := range wireCases() {
-		// The cap rows exercise the body reader, not the decoder, and are
-		// too large for a useful corpus entry.
+		// The four rows at the body and batch caps are too large for a
+		// useful corpus entry; TestBatchWireCases covers them.
 		if len(tc.body) <= 1<<10 {
 			f.Add([]byte(tc.body))
 		}
