@@ -162,12 +162,13 @@ func decodeBatch(b []byte, edges []graph.Edge) ([]graph.Edge, error) {
 // edgesKey is the request's one key, quotes included.
 const edgesKey = `"edges"`
 
-// syntaxError reports what the decoder wanted at offset i of b.
+// syntaxError reports what the decoder wanted at offset i of b, quoting
+// up to 16 bytes found there.
 func syntaxError(b []byte, i int, want string) error {
 	if i >= len(b) {
 		return fmt.Errorf("unexpected end of body at offset %d, want %s", i, want)
 	}
-	return fmt.Errorf("unexpected %q at offset %d, want %s", b[i], i, want)
+	return fmt.Errorf("unexpected %q at offset %d, want %s", b[i:min(i+16, len(b))], i, want)
 }
 
 // token skips whitespace from i and consumes the byte c. It returns the
