@@ -110,11 +110,6 @@ var (
 	// GOMAXPROCS). Any shard count produces edge-for-edge identical
 	// assignments.
 	WithScoreWorkers = core.WithScoreWorkers
-	// WithPerEdgeRefill restores the serial one-edge-at-a-time window
-	// refill (ablation; identical assignments either way).
-	WithPerEdgeRefill = core.WithPerEdgeRefill
-	// WithRefillBatch caps how many edges one batched refill pass stages.
-	WithRefillBatch = core.WithRefillBatch
 	// WithVertexBudget caps the byte footprint of the vertex state; when
 	// the table would outgrow the budget, low-partial-degree vertices are
 	// evicted HEP-style instead (0 = unbounded, the default).

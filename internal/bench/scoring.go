@@ -10,11 +10,10 @@ import (
 	"github.com/adwise-go/adwise/internal/graph"
 	"github.com/adwise-go/adwise/internal/metrics"
 	"github.com/adwise-go/adwise/internal/runtime"
-	"github.com/adwise-go/adwise/internal/scorepool"
 	"github.com/adwise-go/adwise/internal/stream"
 )
 
-// Scoring measures the window-scoring pool in three regimes.
+// Scoring measures the window-scoring pool in two regimes.
 //
 // The "single" section is the historical sweep: one ADWISE instance (no
 // spotlight, so the scaling of the scoring loop is not confounded with
@@ -25,15 +24,6 @@ import (
 // sequence matched the serial run edge-for-edge — the pool's determinism
 // contract, re-verified on every sweep.
 //
-// The "refill" section isolates what batched refill buys: at fixed
-// (window, workers) it compares the historical per-edge refill
-// (WithPerEdgeRefill, the reference) against the default batched refill,
-// which stages the window deficit and scores it as one pool pass through
-// the branch-light replica-scan kernel. Speedup here is per-edge latency
-// over batched latency of the *same* cell — the refill dimension, not the
-// worker dimension — and every batched run is verified edge-for-edge
-// identical to its per-edge reference.
-//
 // The "skew" section is the workload the process-wide work-stealing pool
 // exists for: a z=4 spotlight run over deliberately skewed segments (one
 // dense RMAT segment of ~10M·scale edges, three sparse ones at 1/16 of
@@ -41,10 +31,6 @@ import (
 //
 //   - skew/serial — every instance scores serially (the identity
 //     reference);
-//   - skew/static — each instance pinned to a private pool of
-//     max(1, cores/z) workers: the historical divideScoreWorkers split,
-//     which strands the sparse instances' cores while the dense instance
-//     is compute-bound;
 //   - skew/shared — all instances submit shards to the shared
 //     work-stealing pool, at 2 and GOMAXPROCS logical shards per
 //     instance, so the dense instance borrows whatever the sparse
@@ -52,7 +38,7 @@ import (
 //     borrowed shard executions).
 //
 // Every skew cell is verified edge-for-edge identical to skew/serial:
-// pool choice and worker count are execution details, never semantics.
+// worker count is an execution detail, never semantics.
 //
 // Shards are swept over {1, 2, 4, 8} by default in the single section
 // (values beyond the machine's cores are still measured —
@@ -67,18 +53,14 @@ func Scoring(cfg Config) (*Table, error) {
 		Columns: []string{"mode", "window", "workers", "latency", "speedup", "sharded passes", "stolen", "identical"},
 		Notes: []string{
 			"single/* speedup is against the workers=1 run of the same window; skew/* speedup is against skew/serial;",
-			"refill/batched speedup is against refill/per-edge at the same (window, workers) — the refill dimension;",
 			"identical = the run's assignment sequence matched its serial reference edge-for-edge (the",
 			"deterministic-reduction contract; with stealing, executor identity is invisible to results);",
 			"stolen counts pool-pass shards executed by pool workers rather than the submitting instance —",
-			"on skew/shared this is the dense instance borrowing the cores a static cores/z split would strand;",
+			"on skew/shared this is the dense instance borrowing the cores the sparse instances leave idle;",
 			"small passes run inline, so tiny windows show no sharded passes and no speedup",
 		},
 	}
 	if err := scoringSingle(cfg, tab); err != nil {
-		return tab, err
-	}
-	if err := scoringRefill(cfg, tab); err != nil {
 		return tab, err
 	}
 	if err := scoringSkew(cfg, tab); err != nil {
@@ -153,83 +135,10 @@ func scoringSingle(cfg Config, tab *Table) error {
 	return nil
 }
 
-// scoringRefill runs the batched-vs-per-edge refill comparison: both
-// paths at the same window and worker count, per-edge as the latency and
-// identity reference. Unlike scoringSingle this measures the refill
-// dimension — batching pays off even at workers=1 (one scoreView and one
-// batch drain amortised over the whole deficit, plus the word-scan
-// kernel), and with workers > 1 the staged batch is the pass the pool can
-// finally parallelise.
-func scoringRefill(cfg Config, tab *Table) error {
-	g, err := gen.PresetWeb.Generate(cfg.Scale, cfg.Seed)
-	if err != nil {
-		return fmt.Errorf("bench: generating web graph: %w", err)
-	}
-	edges := stream.Shuffled(g.Edges, cfg.Seed+2)
-
-	const window = 1 << 12
-	workerSweep := []int{1, 2, 8}
-	if cfg.ScoreWorkers > 0 {
-		workerSweep = []int{cfg.ScoreWorkers}
-	}
-
-	clk := cfg.clock()
-	run := func(workers int, perEdge bool) (*metrics.Assignment, core.RunStats, time.Duration, error) {
-		opts := []core.Option{
-			core.WithInitialWindow(window),
-			core.WithFixedWindow(),
-			core.WithMaxCandidates(window),
-			core.WithScoreWorkers(workers),
-			core.WithTotalEdgesHint(int64(len(edges))),
-		}
-		if perEdge {
-			opts = append(opts, core.WithPerEdgeRefill())
-		}
-		ad, err := core.New(cfg.K, opts...)
-		if err != nil {
-			return nil, core.RunStats{}, 0, err
-		}
-		start := clk.Now()
-		a, err := ad.Run(stream.FromEdges(edges))
-		if err != nil {
-			return nil, core.RunStats{}, 0, err
-		}
-		return a, ad.Stats(), clk.Now().Sub(start), nil
-	}
-
-	for _, workers := range workerSweep {
-		ref, _, refLat, err := run(workers, true)
-		if err != nil {
-			return fmt.Errorf("bench: refill per-edge workers=%d: %w", workers, err)
-		}
-		cfg.progressf("  scoring refill/per-edge w=%d workers=%d: %v", window, workers, refLat)
-		tab.AddRow("refill/per-edge", window, workers, refLat, "1.00x", 0, 0, "yes")
-
-		a, st, lat, err := run(workers, false)
-		if err != nil {
-			return fmt.Errorf("bench: refill batched workers=%d: %w", workers, err)
-		}
-		ident := sameAssignments(ref, a)
-		tab.AddRow("refill/batched", window, workers, lat,
-			fmt.Sprintf("%.2fx", float64(refLat)/float64(lat)),
-			st.ParallelScorePasses, st.StolenScoreShards, identLabel(ident))
-		cfg.progressf("  scoring refill/batched w=%d workers=%d: %v (%.2fx), %d refill passes (%d edges), %d sharded passes",
-			window, workers, lat, float64(refLat)/float64(lat), st.RefillPasses, st.BatchedAdds, st.ParallelScorePasses)
-		if !ident {
-			return fmt.Errorf("bench: batched refill workers=%d diverged from the per-edge assignment sequence", workers)
-		}
-		if st.RefillPasses == 0 || st.BatchedAdds == 0 {
-			return fmt.Errorf("bench: batched refill workers=%d reported no refill passes (%d) or batched adds (%d)",
-				workers, st.RefillPasses, st.BatchedAdds)
-		}
-	}
-	return nil
-}
-
 // scoringSkewWindow is the fixed ADWISE window of the skew comparison.
 const scoringSkewWindow = 256
 
-// scoringSkew runs the skewed-spotlight shared-vs-static comparison.
+// scoringSkew runs the skewed-spotlight serial-vs-shared comparison.
 func scoringSkew(cfg Config, tab *Table) error {
 	const z = 4
 	dense := int(10_000_000 * cfg.Scale)
@@ -261,23 +170,18 @@ func scoringSkew(cfg Config, tab *Table) error {
 	clk := cfg.clock()
 
 	// run executes one skew cell. workers is the per-instance logical
-	// shard count; pools[i], when non-nil, pins instance i to a private
-	// pool (the static mode); nil pools select the shared pool (or inline
-	// execution when workers == 1).
-	run := func(workers int, pools []*scorepool.Pool) (*metrics.Assignment, runtime.Stats, time.Duration, error) {
+	// shard count: more than one submits to the shared pool, one scores
+	// inline.
+	run := func(workers int) (*metrics.Assignment, runtime.Stats, time.Duration, error) {
 		start := clk.Now()
 		a, stats, err := runtime.RunSpotlightStreamsStats(streams(), scfg, func(i int, allowed []int) (runtime.Runner, error) {
-			spec := runtime.Spec{
+			return runtime.New("adwise", runtime.Spec{
 				K:            cfg.K,
 				Allowed:      allowed,
 				Seed:         cfg.Seed + uint64(i),
 				Window:       scoringSkewWindow,
 				ScoreWorkers: workers,
-			}
-			if pools != nil {
-				spec.Options = append(spec.Options, core.WithScorePool(pools[i]))
-			}
-			return runtime.New("adwise", spec)
+			})
 		})
 		if err != nil {
 			return nil, runtime.Stats{}, 0, err
@@ -285,48 +189,30 @@ func scoringSkew(cfg Config, tab *Table) error {
 		return a, runtime.AggregateStats(stats), clk.Now().Sub(start), nil
 	}
 
-	serial, _, serialLat, err := run(1, nil)
+	serial, _, serialLat, err := run(1)
 	if err != nil {
 		return fmt.Errorf("bench: skew serial: %w", err)
 	}
 	cfg.progressf("  scoring skew/serial z=%d dense=%d: %v", z, dense, serialLat)
 	tab.AddRow("skew/serial", scoringSkewWindow, 1, serialLat, "1.00x", 0, 0, "yes")
 
-	type mode struct {
-		name    string
-		workers int
-		pools   []*scorepool.Pool
-	}
-	staticShare := max(1, gort.GOMAXPROCS(0)/z)
-	staticPools := make([]*scorepool.Pool, z)
-	for i := range staticPools {
-		staticPools[i] = scorepool.New(staticShare)
-	}
-	defer func() {
-		for _, p := range staticPools {
-			p.Close()
-		}
-	}()
-	modes := []mode{
-		{"skew/static", staticShare, staticPools},
-		{"skew/shared", 2, nil},
-	}
+	sweep := []int{2}
 	if gmp := gort.GOMAXPROCS(0); gmp != 2 {
-		modes = append(modes, mode{"skew/shared", gmp, nil})
+		sweep = append(sweep, gmp)
 	}
-	for _, m := range modes {
-		a, st, lat, err := run(m.workers, m.pools)
+	for _, workers := range sweep {
+		a, st, lat, err := run(workers)
 		if err != nil {
-			return fmt.Errorf("bench: %s workers=%d: %w", m.name, m.workers, err)
+			return fmt.Errorf("bench: skew/shared workers=%d: %w", workers, err)
 		}
 		ident := sameAssignments(serial, a)
-		tab.AddRow(m.name, scoringSkewWindow, m.workers, lat,
+		tab.AddRow("skew/shared", scoringSkewWindow, workers, lat,
 			fmt.Sprintf("%.2fx", float64(serialLat)/float64(lat)),
 			st.ParallelScorePasses, st.StolenScoreShards, identLabel(ident))
-		cfg.progressf("  scoring %s workers=%d: %v (%.2fx), %d sharded passes, %d stolen",
-			m.name, m.workers, lat, float64(serialLat)/float64(lat), st.ParallelScorePasses, st.StolenScoreShards)
+		cfg.progressf("  scoring skew/shared workers=%d: %v (%.2fx), %d sharded passes, %d stolen",
+			workers, lat, float64(serialLat)/float64(lat), st.ParallelScorePasses, st.StolenScoreShards)
 		if !ident {
-			return fmt.Errorf("bench: %s workers=%d diverged from the serial assignment sequence", m.name, m.workers)
+			return fmt.Errorf("bench: skew/shared workers=%d diverged from the serial assignment sequence", workers)
 		}
 	}
 	return nil

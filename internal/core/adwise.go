@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/adwise-go/adwise/internal/clock"
-	"github.com/adwise-go/adwise/internal/graph"
 	"github.com/adwise-go/adwise/internal/metric"
 	"github.com/adwise-go/adwise/internal/metrics"
 	"github.com/adwise-go/adwise/internal/scorepool"
@@ -24,11 +23,6 @@ const (
 	DefaultInitialLambda = 1.0
 	DefaultMaxWindow     = 1 << 14
 	DefaultMaxCandidates = 64
-	// DefaultRefillBatch caps how many fresh edges one refill pass stages
-	// and scores together. Large enough that a full-deficit refill of the
-	// default window amortises the pool dispatch; small enough that the
-	// staging buffer stays cache-resident.
-	DefaultRefillBatch = 2048
 )
 
 type config struct {
@@ -46,14 +40,10 @@ type config struct {
 	maxWindow     int
 	fixedWindow   bool // disable adaptation (ablation)
 	maxCandidates int
-	lazy          bool  // lazy window traversal; eager rescans everything (ablation)
-	totalEdges    int64 // m hint when the stream cannot report it
-	scoreWorkers  int   // window-scoring logical shards; 0 = auto (GOMAXPROCS)
-	perEdgeRefill bool  // serial one-edge-at-a-time refill (reference/ablation)
-	refillBatch   int   // refill staging cap; 0 = DefaultRefillBatch
-	vertexBudget  int64 // vertex-state byte budget; 0 = unbounded cache
-	pool          *scorepool.Pool
-	poolSet       bool             // WithScorePool was used (nil is a meaningful value)
+	lazy          bool             // lazy window traversal; eager rescans everything (ablation)
+	totalEdges    int64            // m hint when the stream cannot report it
+	scoreWorkers  int              // window-scoring logical shards; 0 = auto (GOMAXPROCS)
+	vertexBudget  int64            // vertex-state byte budget; 0 = unbounded cache
 	metrics       *metric.Registry // nil → no telemetry published
 }
 
@@ -149,32 +139,15 @@ func WithTotalEdgesHint(m int64) Option {
 // WithScoreWorkers sets the number of logical shards window scoring
 // passes (candidate rescores, secondary rescans, cached-score scans) are
 // split into. 0 (the default) resolves to GOMAXPROCS at construction;
-// 1 forces fully serial scoring. Shards execute on the process-wide
-// work-stealing pool (see WithScorePool), so under parallel loading the
-// machine's cores flow to whichever instance has work — there is no need
-// to divide cores among instances. Any shard count produces edge-for-edge
+// 1 forces fully serial scoring. More than one shard executes on the
+// process-wide work-stealing pool (scorepool.Shared), so under parallel
+// loading the machine's cores flow to whichever instance has work — there
+// is no need to divide cores among instances. Any shard count produces edge-for-edge
 // identical assignments — sharding uses fixed boundaries and a
 // deterministic shard-order reduction — so the knob trades only
 // wall-clock for cores.
 func WithScoreWorkers(n int) Option {
 	return func(c *config) { c.scoreWorkers = n }
-}
-
-// WithPerEdgeRefill restores the serial refill: the window draws one edge
-// at a time and scores it on the submitting goroutine. The default scores
-// each refill batch as one pool pass; the two paths are edge-for-edge
-// identical (the equivalence the refill property tests pin down), so this
-// knob exists for ablation and as the reference in those tests, not as a
-// correctness escape hatch.
-func WithPerEdgeRefill() Option {
-	return func(c *config) { c.perEdgeRefill = true }
-}
-
-// WithRefillBatch caps how many fresh edges one batched refill pass
-// stages and scores together (default DefaultRefillBatch). Smaller caps
-// bound staging memory; the batch boundary can never change assignments.
-func WithRefillBatch(n int) Option {
-	return func(c *config) { c.refillBatch = n }
 }
 
 // WithVertexBudget caps the byte footprint of the vertex state. The
@@ -188,18 +161,6 @@ func WithRefillBatch(n int) Option {
 // the same positive budget remain deterministic.
 func WithVertexBudget(bytes int64) Option {
 	return func(c *config) { c.vertexBudget = bytes }
-}
-
-// WithScorePool overrides the pool scoring shards execute on. The default
-// (when more than one shard is configured) is the process-wide shared
-// work-stealing pool, scorepool.Shared(). Passing nil forces every pass
-// inline on the caller regardless of the shard count; passing a private
-// pool pins the instance to that pool's workers — the bench harness uses
-// this to reproduce the historical static cores/z split for comparison.
-// Determinism is unaffected either way: pool choice, like worker count,
-// can never change assignments.
-func WithScorePool(p *scorepool.Pool) Option {
-	return func(c *config) { c.pool, c.poolSet = p, true }
 }
 
 // Adwise is the ADWISE streaming partitioner. An instance carries the
@@ -254,13 +215,13 @@ type RunStats struct {
 	// attribute ops to the instance even when a shared pool executed them.
 	// Serial one-edge rescores are accounted to ScoreComputations only.
 	WorkerScoreOps []int64
-	// RefillPasses counts batched window refills (one staged batch scored
-	// and inserted per pass); zero under WithPerEdgeRefill.
-	RefillPasses int64
-	// BatchedAdds counts edges that entered the window through batched
-	// refill passes; under the default refill this equals Assignments on a
-	// clean run, and zero under WithPerEdgeRefill.
-	BatchedAdds int64
+	// RefillPasses and BatchedAdds are always zero: the window refills one
+	// edge at a time, so there are no batched refill passes to count.
+	//
+	// Deprecated: the repository benchmark (perfbench/prog/part.go) still
+	// reads both fields; they go once a benchmark change drops its
+	// core.refill_passes and core.batched_adds metrics.
+	RefillPasses, BatchedAdds int64
 	// PhaseScoreOps splits ScoreComputations by the window pass that spent
 	// each score op; its fields sum to ScoreComputations.
 	PhaseScoreOps PhaseScoreOps
@@ -362,9 +323,6 @@ func New(k int, opts ...Option) (*Adwise, error) {
 	if cfg.scoreWorkers < 0 {
 		return nil, fmt.Errorf("core: score workers must be >= 0 (0 = auto), got %d", cfg.scoreWorkers)
 	}
-	if cfg.refillBatch < 0 {
-		return nil, fmt.Errorf("core: refill batch must be >= 0 (0 = default), got %d", cfg.refillBatch)
-	}
 	parts := cfg.allowed
 	if len(parts) == 0 {
 		parts = make([]int, k)
@@ -383,8 +341,8 @@ func New(k int, opts ...Option) (*Adwise, error) {
 	if shards == 0 {
 		shards = gort.GOMAXPROCS(0)
 	}
-	execPool := cfg.pool
-	if !cfg.poolSet && shards > 1 {
+	var execPool *scorepool.Pool
+	if shards > 1 {
 		execPool = scorepool.Shared()
 	}
 	pool := newScorePool(execPool, shards, len(parts))
@@ -468,68 +426,15 @@ func (a *Adwise) Run(s stream.Stream) (*metrics.Assignment, error) {
 		totalScoreSum float64
 	)
 
-	// Refill is two-phase by default: drain the window deficit from the
-	// buffered stream in one NextBatch sweep, score the whole batch as a
-	// single pool pass (window.addBatch), then classify/insert serially in
-	// stream order. WithPerEdgeRefill keeps the historical one-edge loop;
-	// both paths are edge-for-edge identical.
-	batchCap := a.cfg.refillBatch
-	if batchCap <= 0 {
-		batchCap = DefaultRefillBatch
-	}
-	var refillBuf []graph.Edge
-	if !a.cfg.perEdgeRefill {
-		refillBuf = make([]graph.Edge, batchCap)
-	}
-	var mRefillPasses, mBatchedAdds *metric.Counter
-	var mBatchSize *metric.Gauge
-	if a.cfg.metrics != nil {
-		mRefillPasses = a.cfg.metrics.Counter(MetricRefillPasses)
-		mBatchedAdds = a.cfg.metrics.Counter(MetricRefillBatchedAdds)
-		mBatchSize = a.cfg.metrics.Gauge(MetricRefillBatchSize)
-	}
-
+	// Refill tops the window up to w, one stream edge at a time: each
+	// assignment frees one slot, so a refill is almost always one edge.
 	refill := func() {
-		if a.cfg.perEdgeRefill {
-			for a.win.len() < w {
-				e, ok := src.Next()
-				if !ok {
-					return
-				}
-				a.win.add(e)
-			}
-			return
-		}
 		for a.win.len() < w {
-			d := w - a.win.len()
-			if d > batchCap {
-				d = batchCap
-			}
-			buf := refillBuf[:d]
-			filled := 0
-			for filled < d {
-				n := src.NextBatch(buf[filled:])
-				if n == 0 {
-					break
-				}
-				filled += n
-			}
-			if filled == 0 {
+			e, ok := src.Next()
+			if !ok {
 				return
 			}
-			a.win.addBatch(buf[:filled])
-			a.stats.RefillPasses++
-			a.stats.BatchedAdds += int64(filled)
-			if mRefillPasses != nil {
-				mRefillPasses.Inc(1)
-				mBatchedAdds.Inc(int64(filled))
-				mBatchSize.Set(int64(filled))
-			}
-			if filled < d {
-				// Short batch: the stream is exhausted (or failed — Err is
-				// checked after the window drains).
-				return
-			}
+			a.win.add(e)
 		}
 	}
 

@@ -21,15 +21,6 @@ const (
 	// MetricRunLatency is the partitioning wall-clock per Run, as a
 	// histogram timer.
 	MetricRunLatency = "core.run.latency"
-	// MetricRefillPasses counts batched window refills (live, per pass).
-	MetricRefillPasses = "core.refill.passes"
-	// MetricRefillBatchedAdds counts edges staged and scored through
-	// batched refill passes (live, per pass).
-	MetricRefillBatchedAdds = "core.refill.batched_adds"
-	// MetricRefillBatchSize is a gauge holding the most recent refill
-	// batch size — together with the passes/adds counters it shows whether
-	// refills run at the staging cap or dribble (live, per pass).
-	MetricRefillBatchSize = "core.refill.batch_size"
 	// MetricVcacheEvicted counts vertex-state evictions under a vertex
 	// budget (end of Run; 0 on the unbounded default).
 	MetricVcacheEvicted = "core.vcache.evicted"

@@ -123,7 +123,7 @@ func TestScoreKernelMatchesNeighborListKernel(t *testing.T) {
 }
 
 // BenchmarkScoreEdgeKernel measures one scoring evaluation on a warm
-// cache — the per-edge cost every refill batch and rescore pass pays once
+// cache — the per-edge cost every refill and rescore pass pays once
 // its inputs are produced.
 func BenchmarkScoreEdgeKernel(b *testing.B) {
 	for _, bc := range []struct {

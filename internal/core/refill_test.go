@@ -8,34 +8,21 @@ import (
 	"github.com/adwise-go/adwise/internal/stream"
 )
 
-// runRefill runs one fixed-window ADWISE pass over edges with the given
-// refill configuration and returns the assignment and run stats.
-func runRefill(t *testing.T, edges []graph.Edge, window, workers, batch int, eager, perEdge bool) (*metrics.Assignment, RunStats) {
-	t.Helper()
-	opts := []Option{
-		WithInitialWindow(window),
-		WithFixedWindow(),
-		WithMaxCandidates(256),
-		WithScoreWorkers(workers),
+// drawStream wraps a stream to control what Run can learn from it:
+// unless sized, Remaining reports -1, the contract of a stream that
+// cannot report its length.
+type drawStream struct {
+	inner stream.Stream
+	sized bool
+}
+
+func (d *drawStream) Next() (graph.Edge, bool) { return d.inner.Next() }
+
+func (d *drawStream) Remaining() int64 {
+	if !d.sized {
+		return -1
 	}
-	if eager {
-		opts = append(opts, WithEagerTraversal())
-	}
-	if perEdge {
-		opts = append(opts, WithPerEdgeRefill())
-	}
-	if batch > 0 {
-		opts = append(opts, WithRefillBatch(batch))
-	}
-	ad, err := New(8, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := ad.Run(stream.FromEdges(edges))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return a, ad.Stats()
+	return d.inner.Remaining()
 }
 
 // requireSameAssignments fails unless a and b assigned the same edges to
@@ -53,132 +40,45 @@ func requireSameAssignments(t *testing.T, label string, a, b *metrics.Assignment
 	}
 }
 
-// TestBatchedRefillMatchesPerEdge is the two-phase refill equivalence
-// property: staging the window deficit and scoring it as one pool pass
-// must produce edge-for-edge identical assignments to the historical
-// per-edge refill — across lazy and eager traversal, every tested worker
-// count, and batch caps that force refill batches to break mid-deficit.
-// The clustering score is on (the default), so the intra-batch conflict
-// path — edges sharing an endpoint with an earlier batch edge — is
-// exercised heavily by the skewed RMAT stream. Run under -race this also
-// checks the batch score phase for data races.
-func TestBatchedRefillMatchesPerEdge(t *testing.T) {
-	all := equivalenceGraph(t)
-	for _, mode := range []struct {
-		name   string
-		eager  bool
-		n      int // stream prefix (eager pops are quadratic in the window)
-		window int
-	}{
-		{"lazy", false, 30_000, 1024},
-		{"eager", true, 6_000, 256},
-	} {
-		edges := all[:mode.n]
-		ref, refStats := runRefill(t, edges, mode.window, 1, 0, mode.eager, true)
-		if ref.Len() != mode.n {
-			t.Fatalf("%s: per-edge reference assigned %d of %d edges", mode.name, ref.Len(), mode.n)
-		}
-		if refStats.RefillPasses != 0 || refStats.BatchedAdds != 0 {
-			t.Fatalf("%s: per-edge refill reported batched counters: passes=%d adds=%d",
-				mode.name, refStats.RefillPasses, refStats.BatchedAdds)
-		}
-		for _, workers := range []int{1, 2, 8} {
-			// batch 0 is the default cap; 7 forces many odd-sized batch
-			// boundaries inside every deficit drain.
-			for _, batch := range []int{0, 7} {
-				label := mode.name
-				a, st := runRefill(t, edges, mode.window, workers, batch, mode.eager, false)
-				requireSameAssignments(t, label, ref, a)
-				if st.RefillPasses == 0 {
-					t.Errorf("%s workers=%d batch=%d: no refill passes recorded", label, workers, batch)
-				}
-				if st.BatchedAdds != int64(mode.n) {
-					t.Errorf("%s workers=%d batch=%d: BatchedAdds = %d, want %d (every edge enters via refill)",
-						label, workers, batch, st.BatchedAdds, mode.n)
-				}
-				if st.ScoreComputations != refStats.ScoreComputations {
-					t.Errorf("%s workers=%d batch=%d: ScoreComputations = %d, per-edge reference %d",
-						label, workers, batch, st.ScoreComputations, refStats.ScoreComputations)
-				}
-			}
-		}
-	}
-}
-
-// TestBatchedRefillDeficitExceedsStream pins the short-batch boundary:
-// with the window deficit larger than the whole stream remainder, the
-// drain loop must stop on the short batch, assign everything, and still
-// match the per-edge path.
-func TestBatchedRefillDeficitExceedsStream(t *testing.T) {
+// TestRefillAssignsEveryEdge pins the refill loop at the stream's end: a
+// fixed window larger than the whole stream (the first refill drains it)
+// and one smaller than it, each over a sized stream and over a stream
+// that hides its length (run with WithTotalEdgesHint), must assign every
+// edge and match the sized one-shard run edge for edge, at one and two
+// shards.
+func TestRefillAssignsEveryEdge(t *testing.T) {
 	edges := equivalenceGraph(t)[:3_000]
-	const window = 4096 // first deficit (4096) > stream length (3000)
-	ref, _ := runRefill(t, edges, window, 1, 0, false, true)
-	if ref.Len() != len(edges) {
-		t.Fatalf("per-edge reference assigned %d of %d edges", ref.Len(), len(edges))
-	}
-	for _, workers := range []int{1, 2, 8} {
-		for _, batch := range []int{0, 100} {
-			a, st := runRefill(t, edges, window, workers, batch, false, false)
-			requireSameAssignments(t, "deficit>stream", ref, a)
-			if st.BatchedAdds != int64(len(edges)) {
-				t.Errorf("workers=%d batch=%d: BatchedAdds = %d, want %d",
-					workers, batch, st.BatchedAdds, len(edges))
+	for _, window := range []int{4096, 512} {
+		run := func(workers int, sized bool) *metrics.Assignment {
+			t.Helper()
+			ad, err := New(8,
+				WithInitialWindow(window),
+				WithFixedWindow(),
+				WithMaxCandidates(256),
+				WithScoreWorkers(workers),
+				WithTotalEdgesHint(int64(len(edges))),
+			)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := ad.Run(&drawStream{inner: stream.FromEdges(edges), sized: sized})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return a
+		}
+		ref := run(1, true)
+		if ref.Len() != len(edges) {
+			t.Fatalf("w=%d: sized one-shard run assigned %d of %d edges", window, ref.Len(), len(edges))
+		}
+		for _, workers := range []int{1, 2} {
+			for _, sized := range []bool{true, false} {
+				label := "sized"
+				if !sized {
+					label = "unsized"
+				}
+				requireSameAssignments(t, label, ref, run(workers, sized))
 			}
 		}
-	}
-}
-
-// unsizedStream hides the stream length: Remaining is unknown (-1), the
-// contract under which Run must fall back to the window-derived
-// assignment-capacity hint instead of a magic constant.
-type unsizedStream struct{ inner stream.Stream }
-
-func (u *unsizedStream) Next() (graph.Edge, bool) { return u.inner.Next() }
-func (u *unsizedStream) Remaining() int64         { return -1 }
-
-// TestRefillUnknownRemaining runs both refill paths over a stream that
-// cannot report its length: the batched path must drain it via the
-// NextBatch fallback identically to the per-edge path, and the capacity
-// hint derives from the window configuration (no 1024 magic).
-func TestRefillUnknownRemaining(t *testing.T) {
-	edges := equivalenceGraph(t)[:10_000]
-	run := func(perEdge bool) (*metrics.Assignment, RunStats) {
-		opts := []Option{
-			WithInitialWindow(512),
-			WithFixedWindow(),
-			WithScoreWorkers(2),
-		}
-		if perEdge {
-			opts = append(opts, WithPerEdgeRefill())
-		}
-		ad, err := New(8, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, err := ad.Run(&unsizedStream{inner: stream.FromEdges(edges)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return a, ad.Stats()
-	}
-	ref, _ := run(true)
-	if ref.Len() != len(edges) {
-		t.Fatalf("per-edge run over unsized stream assigned %d of %d edges", ref.Len(), len(edges))
-	}
-	a, st := run(false)
-	requireSameAssignments(t, "unsized stream", ref, a)
-	if st.BatchedAdds != int64(len(edges)) {
-		t.Errorf("BatchedAdds = %d, want %d", st.BatchedAdds, len(edges))
-	}
-}
-
-// TestRefillBatchValidation pins the option contract: negative caps are
-// construction errors, zero means default.
-func TestRefillBatchValidation(t *testing.T) {
-	if _, err := New(4, WithRefillBatch(-1)); err == nil {
-		t.Error("New accepted a negative refill batch cap")
-	}
-	if _, err := New(4, WithRefillBatch(0)); err != nil {
-		t.Errorf("New rejected the zero (default) refill batch cap: %v", err)
 	}
 }

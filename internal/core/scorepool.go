@@ -7,11 +7,11 @@ import (
 
 // scorePool is one instance's view of window-scoring parallelism: it
 // splits a pass into the instance's fixed logical shards and submits them
-// to a scorepool.Pool — normally the process-wide shared pool — where the
-// instance's own goroutine and any idle pool worker execute them. Under
-// spotlight loading this is what lets an instance on a dense segment
-// borrow the cores an instance on a sparse segment is not using, instead
-// of being pinned to a static cores/z slice of the machine.
+// to a scorepool.Pool — the process-wide shared pool, or a private one in
+// tests — where the instance's own goroutine and any idle pool worker
+// execute them. Under spotlight loading this is what lets an instance on
+// a dense segment borrow the cores an instance on a sparse segment is not
+// using, instead of being pinned to a static cores/z slice of the machine.
 //
 // Determinism contract: a pass result must be byte-for-byte independent
 // of the pool's worker count, of stealing order, and of whether the pass

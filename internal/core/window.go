@@ -95,7 +95,7 @@ import (
 // |parts| (ARCHITECTURE.md). The rule reads only work counts, so it is
 // deterministic, and both producers are exact, so which one serves never
 // changes a score. Counts, mirrors and the pair table change only in the
-// serial phases (insertScored, remove, commit, engage); scoring passes
+// serial phases (add, remove, commit, engage); scoring passes
 // only read them.
 //
 // Memory: with w the largest window, at most 2·w slots are live, each
@@ -199,17 +199,6 @@ type window struct {
 	entSnap    []*winEntry
 	passScores []float64
 	passParts  []int32
-
-	// Reusable batched-refill buffers: result slots for the parallel
-	// score phase of addBatch (indexed like the fresh-edge batch), the
-	// intra-batch conflict marks, and the endpoint set that computes
-	// them. Disjoint from the pass buffers above — a refill pass and a
-	// rescore pass never overlap, but sharing slots would couple their
-	// sizing invariants for no gain.
-	refillScores   []float64
-	refillParts    []int32
-	refillConflict []bool
-	refillSeen     map[graph.VertexID]struct{}
 
 	// statistics
 	promotions, demotions, reassessments, rescans int64
@@ -674,24 +663,15 @@ func (w *window) adapt() {
 	}
 }
 
-// add inserts a fresh stream edge into the window: score it once, classify
-// against Θ (§III-B step 1). In eager mode everything is a candidate.
-// This is the per-edge reference path; the refill hot path scores whole
-// batches through addBatch and only classifies serially.
+// add inserts a fresh stream edge into the window: score it once against
+// the live window and classify it against the live Θ (§III-B step 1) —
+// Θ drifts with every insert, so classification is order-dependent. In
+// eager mode everything is a candidate. The entry is linked into its set,
+// the incident lists and, while engaged, the counts.
 func (w *window) add(e graph.Edge) {
 	view := w.sc.view()
 	best, part := w.scoreFresh(&view, e, w.sc.prime)
 	w.account(&w.ledger.ops.Refill, 1)
-	w.insertScored(e, best, part)
-}
-
-// insertScored is the serial classify/insert half of an add: given the
-// fresh score and argmax partition of e, classify against the live Θ
-// (which drifts with every insert — classification is inherently
-// order-dependent and stays serial) and link the entry into its set, the
-// incident lists and, while engaged, the counts. Exactly the insertion
-// semantics of add.
-func (w *window) insertScored(e graph.Edge, best float64, part int) {
 	su, sv := w.acquireSlot(e.Src), w.acquireSlot(e.Dst)
 	ent := &winEntry{edge: e, score: best, part: part, srcSlot: su, dstSlot: sv}
 	if w.eager || (best > w.theta() && len(w.candidates) < w.maxCand) {
@@ -707,106 +687,6 @@ func (w *window) insertScored(e graph.Edge, best float64, part int) {
 			w.linkPair(su, sv)
 		}
 	}
-}
-
-// addBatch inserts a refill batch of fresh stream edges, scoring the
-// whole batch as one pool pass and then classifying serially in stream
-// order — the two-phase form of calling add per edge, with edge-for-edge
-// identical results.
-//
-// Why the batch scores are order-independent: during refill no assignment
-// commits, so λ, the partition sizes, the max degree, and every replica
-// set are frozen — one scoreView is exact for the entire batch, where the
-// per-edge path minted an identical view per add. The only window state
-// an insertion mutates that a later *score* could observe is the incident
-// lists, slots and counts (the clustering score's neighbourhood).
-// markRefillConflicts therefore flags every edge that shares an endpoint
-// with an earlier batch edge; non-conflicting edges see exactly the
-// pre-batch neighbourhood and score in the parallel phase, conflicting
-// edges re-score serially at their insertion point, against the live
-// window, precisely as add would have. With the clustering score off the
-// window never feeds back into scores at all and the whole batch
-// parallelises.
-//
-// Classification (Θ comparison, candidate cap) happens serially in
-// stream order against the live, per-insert Θ — identical to add.
-// It reports whether the score phase ran on the pool.
-func (w *window) addBatch(edges []graph.Edge) bool {
-	if len(edges) == 1 {
-		w.add(edges[0])
-		return false
-	}
-	w.account(&w.ledger.ops.Refill, len(edges))
-	view := w.sc.view()
-	conflict := w.markRefillConflicts(edges, view.clustering)
-
-	if cap(w.refillScores) < len(edges) {
-		w.refillScores = make([]float64, len(edges))
-		w.refillParts = make([]int32, len(edges))
-	}
-	scores := w.refillScores[:len(edges)]
-	parts := w.refillParts[:len(edges)]
-
-	pooled := w.pool.forEach(len(edges), scoreGrainPerWorker, func(shard, lo, hi int) {
-		scr := w.sc.prime
-		if w.pool != nil {
-			scr = w.pool.scratch[shard]
-		}
-		for i := lo; i < hi; i++ {
-			if conflict != nil && conflict[i] {
-				continue
-			}
-			best, part := w.scoreFresh(&view, edges[i], scr)
-			scores[i], parts[i] = best, int32(part)
-		}
-	})
-
-	for i, e := range edges {
-		if conflict != nil && conflict[i] {
-			// The edge shares an endpoint with an earlier batch edge: its
-			// neighbourhood includes entries inserted moments ago, so
-			// score it here, at its stream position, like add would.
-			best, part := w.scoreFresh(&view, e, w.sc.prime)
-			w.insertScored(e, best, part)
-			continue
-		}
-		w.insertScored(e, scores[i], int(parts[i]))
-	}
-	return pooled
-}
-
-// markRefillConflicts returns the per-edge intra-batch conflict marks for
-// addBatch: edges[i] is marked when an earlier batch edge shares one of
-// its endpoints, meaning its window neighbourhood at insertion time
-// differs from the pre-batch snapshot the parallel phase scores against.
-// Returns nil — score everything in parallel — when the clustering score
-// is off (window state never feeds back into scores) or no edge
-// conflicts.
-func (w *window) markRefillConflicts(edges []graph.Edge, clustering bool) []bool {
-	if !clustering {
-		return nil
-	}
-	if w.refillSeen == nil {
-		w.refillSeen = make(map[graph.VertexID]struct{}, 2*len(edges))
-	} else {
-		clear(w.refillSeen)
-	}
-	w.refillConflict = append(w.refillConflict[:0], make([]bool, len(edges))...)
-	any := false
-	for i, e := range edges {
-		_, src := w.refillSeen[e.Src]
-		_, dst := w.refillSeen[e.Dst]
-		if src || dst {
-			w.refillConflict[i] = true
-			any = true
-		}
-		w.refillSeen[e.Src] = struct{}{}
-		w.refillSeen[e.Dst] = struct{}{}
-	}
-	if !any {
-		return nil
-	}
-	return w.refillConflict
 }
 
 func (w *window) pushCandidate(ent *winEntry) {

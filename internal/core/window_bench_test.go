@@ -62,7 +62,7 @@ func BenchmarkPopBest(b *testing.B) {
 }
 
 // BenchmarkAdwiseRun measures a full fixed-window pass end to end: window
-// refill (batched stream draw), scoring, cache updates. The community case
+// refill (buffered stream draw), scoring, cache updates. The community case
 // has short incident lists. The zipf case is hub-heavy (Zipf s=1.3, 2.5k
 // vertices, 10k edges, k=32, window 1024, one shard): window
 // neighbourhoods hold about a hundred vertices, so the maintained

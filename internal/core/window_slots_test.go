@@ -242,7 +242,7 @@ func checkProducersMatchOracle(t *testing.T, w *window, scr *scoreScratch, verti
 }
 
 // TestWindowSlotsMatchOracle is the slot-table property test: random
-// add / batched add / pop+commit+reassess / reassess / engage / drop
+// add / run of adds / pop+commit+reassess / reassess / engage / drop
 // sequences over 16 vertex ids — self-loops and duplicate edges included —
 // free and reuse slots within a few pops and switch the clustering
 // producer back and forth. After every op the structural invariants
@@ -291,11 +291,9 @@ func TestWindowSlotsMatchOracle(t *testing.T) {
 				case r < grow*0.7 || w.len() == 0:
 					w.add(edge())
 				case r < grow:
-					batch := make([]graph.Edge, 2+rng.Intn(5))
-					for i := range batch {
-						batch[i] = edge()
+					for range 2 + rng.Intn(5) {
+						w.add(edge())
 					}
-					w.addBatch(batch)
 				case r < 0.9:
 					e, p, _, ok := w.popBest()
 					if !ok {

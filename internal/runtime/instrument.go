@@ -24,10 +24,6 @@ const (
 	// MetricRunLatency is the partitioning wall-clock per published pass,
 	// as a histogram timer.
 	MetricRunLatency = "runtime.partitioning.latency"
-	// MetricRunRefillPasses counts batched window refills;
-	// MetricRunBatchedAdds counts the edges those passes staged and scored.
-	MetricRunRefillPasses = "runtime.refill.passes"
-	MetricRunBatchedAdds  = "runtime.refill.batched_adds"
 	// MetricRunVcacheEvicted counts vertex-state evictions under a vertex
 	// budget; the byte gauges carry the final and peak tracked footprints
 	// of the published pass (summed across instances when publishing an
@@ -51,8 +47,6 @@ func PublishStats(reg *metric.Registry, st Stats) {
 	reg.Counter(MetricRunPoolPasses).Inc(st.ParallelScorePasses)
 	reg.Counter(MetricRunPoolScoreOps).Inc(st.PoolScoreOps)
 	reg.Counter(MetricRunStolenShards).Inc(st.StolenScoreShards)
-	reg.Counter(MetricRunRefillPasses).Inc(st.RefillPasses)
-	reg.Counter(MetricRunBatchedAdds).Inc(st.BatchedAdds)
 	reg.Counter(MetricRunVcacheEvicted).Inc(st.EvictedVertices)
 	reg.Gauge(MetricRunVcacheBytes).Set(st.CacheBytes)
 	reg.Gauge(MetricRunVcachePeakBytes).Set(st.PeakCacheBytes)

@@ -50,7 +50,8 @@ type Spec struct {
 	// (splitVertexBudget), since all z caches coexist for the run.
 	VertexBudgetBytes int64
 	// Options are extra ADWISE options applied after the Spec-derived
-	// ones (clustering toggles, clock substitution, ...).
+	// ones (clustering toggles, clock substitution, ...); the bench
+	// strategies set each preset's clustering toggle through it.
 	Options []core.Option
 	// Metrics, when non-nil, attaches a live telemetry registry:
 	// window-class instances publish their pool pass/steal counters and

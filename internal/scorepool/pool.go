@@ -52,7 +52,9 @@ type Pass struct {
 }
 
 // New starts a pool with the given number of worker goroutines (minimum
-// 1). Workers idle on a condition variable when no pass is active.
+// 1). Workers idle on a condition variable when no pass is active. Shared
+// builds the process-wide pool with it; tests build private pools to pin
+// a pass to a known worker count.
 func New(workers int) *Pool {
 	if workers < 1 {
 		workers = 1
@@ -73,9 +75,8 @@ var (
 
 // Shared returns the process-wide scoring pool, created on first use with
 // GOMAXPROCS workers. It is never closed; every partitioner instance in
-// the process submits its scoring passes here unless a private pool was
-// injected (WithScorePool), which is how the bench harness reproduces the
-// old static cores/z split for comparison.
+// the process that scores on more than one shard submits its scoring
+// passes here.
 func Shared() *Pool {
 	sharedOnce.Do(func() {
 		shared = New(gort.GOMAXPROCS(0))
