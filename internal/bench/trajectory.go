@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	gort "runtime"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -89,14 +90,8 @@ func scoringSpeedups(t *Table) map[scoringKey]float64 {
 // committed baseline: it compares the current Scoring table's per-cell
 // speedups (not absolute latencies — those track the machine, speedups
 // track the code) against the most recent "ci-baseline" run in the
-// trajectory at baselinePath, and fails if any comparable cell lost more
-// than tol of its baseline speedup (tol 0.2 = the >20% regression gate).
-//
-// A cell is comparable when both runs measured it, its worker count fits
-// the current machine (workers ≤ GOMAXPROCS — oversubscribed cells
-// measure scheduling noise), and the baseline speedup is ≥ 1.05 (cells
-// that never sped up — e.g. every cell on a single-core runner — have no
-// parallel win to protect and would only flap on noise).
+// trajectory at baselinePath, on this machine's GOMAXPROCS cores (see
+// compareScoring).
 func CheckScoringRegression(current *Table, baselinePath string, tol float64) error {
 	tr, err := LoadTrajectory(baselinePath)
 	if err != nil {
@@ -121,12 +116,27 @@ func CheckScoringRegression(current *Table, baselinePath string, tol float64) er
 	if baseTab == nil {
 		return fmt.Errorf("bench: ci-baseline run in %s has no %q table", baselinePath, current.ID)
 	}
-	baseCells := scoringSpeedups(baseTab)
+	return compareScoring(baseTab, current, tol, gort.GOMAXPROCS(0), baselinePath)
+}
+
+// compareScoring fails if any comparable cell of current lost more than
+// tol of its speedup in base (tol 0.2 = the >20% regression gate), or if
+// a machine with at least 2 cores compared no cell at all: a renamed mode
+// or a reshaped table must not switch the guard off unnoticed. from
+// names the baseline in errors.
+//
+// A cell is comparable when both tables measured it, its worker count
+// fits the machine (workers ≤ cores — oversubscribed cells measure
+// scheduling noise), and the baseline speedup is ≥ 1.05 (cells that never
+// sped up have no parallel win to protect and would only flap on noise).
+// On a single core only workers=1 cells fit, and their speedup is 1.00x
+// by definition, so the guard passes there vacuously.
+func compareScoring(base, current *Table, tol float64, cores int, from string) error {
+	baseCells := scoringSpeedups(base)
 	curCells := scoringSpeedups(current)
 	if len(baseCells) == 0 || len(curCells) == 0 {
-		return fmt.Errorf("bench: no comparable speedup cells between current table and %s", baselinePath)
+		return fmt.Errorf("bench: no comparable speedup cells between current table and %s", from)
 	}
-	cores := gort.GOMAXPROCS(0)
 	compared := 0
 	var failures []string
 	for key, baseSp := range baseCells {
@@ -147,7 +157,11 @@ func CheckScoringRegression(current *Table, baselinePath string, tol float64) er
 		}
 	}
 	if len(failures) > 0 {
-		return fmt.Errorf("bench: scoring regression vs %s:\n  %s", baselinePath, strings.Join(failures, "\n  "))
+		sort.Strings(failures)
+		return fmt.Errorf("bench: scoring regression vs %s:\n  %s", from, strings.Join(failures, "\n  "))
+	}
+	if compared == 0 && cores >= 2 {
+		return fmt.Errorf("bench: no scoring cell of %s was comparable on %d cores (each was missing from the current table, oversubscribed, or below a 1.05x baseline speedup)", from, cores)
 	}
 	return nil
 }
