@@ -535,14 +535,18 @@ func (a *Adwise) c2(now, deadline time.Time, latPerEdge time.Duration, s stream.
 		return false
 	}
 	remaining := s.Remaining()
-	if remaining < 0 {
-		if totalEdges > 0 {
-			remaining = totalEdges - a.stats.Assignments
-		} else {
-			remaining = 0
-		}
+	switch {
+	case remaining >= 0:
+		// The stream's remainder excludes the edges already drawn into
+		// the window.
+		remaining += int64(a.win.len())
+	case totalEdges > 0:
+		// The stream cannot report its length; m minus the assigned edges
+		// already includes the window's.
+		remaining = totalEdges - a.stats.Assignments
+	default:
+		remaining = int64(a.win.len())
 	}
-	remaining += int64(a.win.len())
 	if remaining <= 0 {
 		return true
 	}

@@ -1,9 +1,14 @@
 package core
 
 import (
+	"math"
 	"testing"
+	"time"
 
+	"github.com/adwise-go/adwise/internal/clock"
 	"github.com/adwise-go/adwise/internal/graph"
+	"github.com/adwise-go/adwise/internal/metrics"
+	"github.com/adwise-go/adwise/internal/stream"
 	"github.com/adwise-go/adwise/internal/vcache"
 )
 
@@ -140,5 +145,132 @@ func FuzzWindowOps(f *testing.F) {
 		if len(w.slotOf) != 0 || len(w.freeSlots) != len(w.slotVertex) {
 			t.Fatalf("drained window keeps %d mapped slots, %d of %d free", len(w.slotOf), len(w.freeSlots), len(w.slotVertex))
 		}
+	})
+}
+
+// FuzzAdwiseRun decodes bytes into an ADWISE configuration and a short
+// edge list, runs it, and checks the run-level contracts: every input
+// edge is assigned exactly once (as a multiset) into the spread, the
+// stats count every edge and split every score op by phase, and the
+// assignment sequence is the same on two shards, under an unlimited
+// vertex budget, and behind a stream that hides its length (given it
+// through WithTotalEdgesHint) as on the sized, one-shard, unbudgeted run.
+//
+// Layout: data[0] picks k ∈ [1, 32]; data[1] is a flag byte (bit 0
+// eager, bit 1 clustering off, bit 2 a spread block instead of all
+// partitions, bit 3 the adaptive window); data[2] picks the block's first
+// partition and data[3] its size; data[4] picks the fixed window (1 +
+// data[4]%64) or, adaptive, the latency preference (n·data[4]/64 ms for n
+// edges, on a clock that advances 1 ms per edge drawn; the window grows
+// from 1 to at most 64). The rest is up to 512 edges, two bytes each,
+// over 32 vertex ids.
+func FuzzAdwiseRun(f *testing.F) {
+	edgeBytes := func(n int) []byte {
+		b := make([]byte, 2*n)
+		for i := range b {
+			b[i] = byte(i*7 + i/5)
+		}
+		return b
+	}
+	// A fixed window of 64 over 20 edges: the first refill drains the
+	// stream.
+	f.Add(append([]byte{8, 0, 0, 0, 63}, edgeBytes(20)...))
+	// The adaptive window on a block spread, with L just above n ms.
+	f.Add(append([]byte{16, 4 | 8, 3, 5, 66}, edgeBytes(300)...))
+	// Eager, clustering off, the adaptive window with L at 1.25·n ms.
+	f.Add(append([]byte{5, 1 | 2 | 8, 0, 0, 80}, edgeBytes(120)...))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 5 {
+			return
+		}
+		k := 1 + int(data[0])%32
+		flags := data[1]
+		adaptive := flags&8 != 0
+		parts := make([]int, k)
+		for i := range parts {
+			parts[i] = i
+		}
+		if flags&4 != 0 {
+			first := int(data[2]) % k
+			parts = parts[:1+int(data[3])%k]
+			for i := range parts {
+				parts[i] = (first + i) % k
+			}
+		}
+		raw := data[5:]
+		edges := make([]graph.Edge, min(len(raw)/2, 512))
+		for i := range edges {
+			edges[i] = graph.Edge{Src: graph.VertexID(raw[2*i] % 32), Dst: graph.VertexID(raw[2*i+1] % 32)}
+		}
+		n := int64(len(edges))
+
+		run := func(shards int, budget int64, sized bool) (*metrics.Assignment, RunStats) {
+			t.Helper()
+			clk := clock.NewFake(time.Unix(0, 0))
+			opts := []Option{
+				WithClock(clk),
+				WithAllowedPartitions(parts),
+				WithScoreWorkers(shards),
+				WithClusteringScore(flags&2 == 0),
+				WithVertexBudget(budget),
+			}
+			if flags&1 != 0 {
+				opts = append(opts, WithEagerTraversal())
+			}
+			if adaptive {
+				opts = append(opts, WithMaxWindow(64),
+					WithLatencyPreference(time.Duration(n*int64(data[4])/64)*time.Millisecond))
+			} else {
+				opts = append(opts, WithInitialWindow(1+int(data[4])%64), WithFixedWindow())
+			}
+			if !sized {
+				opts = append(opts, WithTotalEdgesHint(n))
+			}
+			ad, err := New(k, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := &drawStream{inner: stream.FromEdges(edges), sized: sized, clk: clk}
+			a, err := ad.Run(d.perEdge())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return a, ad.Stats()
+		}
+
+		ref, st := run(1, 0, true)
+		allowed := make(map[int]bool, len(parts))
+		for _, p := range parts {
+			allowed[p] = true
+		}
+		left := make(map[graph.Edge]int, len(edges))
+		for _, e := range edges {
+			left[e]++
+		}
+		for i, e := range ref.Edges {
+			if left[e] == 0 {
+				t.Fatalf("assignment %d: edge %v assigned more often than it was streamed", i, e)
+			}
+			left[e]--
+			if p := int(ref.Parts[i]); !allowed[p] {
+				t.Fatalf("assignment %d: edge %v on partition %d outside the spread %v", i, e, p, parts)
+			}
+		}
+		if ref.Len() != len(edges) {
+			t.Fatalf("assigned %d of %d edges", ref.Len(), len(edges))
+		}
+		if st.Assignments != n {
+			t.Fatalf("Assignments = %d, want %d", st.Assignments, n)
+		}
+		if got := st.PhaseScoreOps.Sum(); got != st.ScoreComputations {
+			t.Fatalf("phase score ops %+v sum to %d, ScoreComputations %d", st.PhaseScoreOps, got, st.ScoreComputations)
+		}
+
+		a, _ := run(2, 0, true)
+		requireSameAssignments(t, "2 shards", ref, a)
+		a, _ = run(1, math.MaxInt64, true)
+		requireSameAssignments(t, "unlimited budget", ref, a)
+		a, _ = run(1, 0, false)
+		requireSameAssignments(t, "unsized stream", ref, a)
 	})
 }

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"slices"
 	"testing"
+	"time"
 
+	"github.com/adwise-go/adwise/internal/clock"
 	"github.com/adwise-go/adwise/internal/graph"
 	"github.com/adwise-go/adwise/internal/metrics"
 	"github.com/adwise-go/adwise/internal/stream"
@@ -10,13 +13,21 @@ import (
 
 // drawStream wraps a stream to control what Run can learn from it:
 // unless sized, Remaining reports -1, the contract of a stream that
-// cannot report its length.
+// cannot report its length; a non-nil clk advances 1 ms per edge drawn,
+// so an adaptive run's time line depends only on the edges it consumed.
 type drawStream struct {
 	inner stream.Stream
 	sized bool
+	clk   *clock.Fake
 }
 
-func (d *drawStream) Next() (graph.Edge, bool) { return d.inner.Next() }
+func (d *drawStream) Next() (graph.Edge, bool) {
+	e, ok := d.inner.Next()
+	if ok && d.clk != nil {
+		d.clk.Advance(time.Millisecond)
+	}
+	return e, ok
+}
 
 func (d *drawStream) Remaining() int64 {
 	if !d.sized {
@@ -24,6 +35,10 @@ func (d *drawStream) Remaining() int64 {
 	}
 	return d.inner.Remaining()
 }
+
+// perEdge hands d to Run behind a one-edge buffer, which Run keeps as
+// its own, so every edge the window draws is exactly one Next on d.
+func (d *drawStream) perEdge() stream.Stream { return stream.NewBuffered(d, 1) }
 
 // requireSameAssignments fails unless a and b assigned the same edges to
 // the same partitions in the same order.
@@ -79,6 +94,51 @@ func TestRefillAssignsEveryEdge(t *testing.T) {
 				}
 				requireSameAssignments(t, label, ref, run(workers, sized))
 			}
+		}
+	}
+}
+
+// TestC2UnsizedStreamMatchesSized pins condition (C2)'s edge count |E′|
+// for a stream that cannot report its length: given the length through
+// WithTotalEdgesHint, the adaptive window must follow exactly the
+// trajectory it follows over the same stream reporting its length. The
+// clock advances 1 ms per edge drawn, so 20k edges take about 20 s and
+// the latency preferences swept here sit where C2 decides the resizes.
+func TestC2UnsizedStreamMatchesSized(t *testing.T) {
+	const n = 20_000
+	edges := equivalenceGraph(t)[:n]
+	trace := func(l time.Duration, sized bool) []WindowChange {
+		t.Helper()
+		clk := clock.NewFake(time.Unix(0, 0))
+		ad, err := New(8,
+			WithClock(clk),
+			WithLatencyPreference(l),
+			WithMaxWindow(1024),
+			WithTotalEdgesHint(n),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := &drawStream{inner: stream.FromEdges(edges), sized: sized, clk: clk}
+		if _, err := ad.Run(d.perEdge()); err != nil {
+			t.Fatal(err)
+		}
+		return ad.Stats().WindowTrace
+	}
+	for l := 201; l <= 230; l++ {
+		pref := time.Duration(l) * 100 * time.Millisecond
+		want := trace(pref, true)
+		if len(want) == 0 {
+			t.Fatalf("L=%v: the sized run never resized its window", pref)
+		}
+		got := trace(pref, false)
+		if !slices.Equal(got, want) {
+			i := 0
+			for i < min(len(got), len(want)) && got[i] == want[i] {
+				i++
+			}
+			t.Errorf("L=%v: unsized stream's window trace (%d resizes) diverged from the sized one (%d) at resize %d",
+				pref, len(got), len(want), i)
 		}
 	}
 }
