@@ -142,9 +142,9 @@ func WithTotalEdgesHint(m int64) Option {
 // 1 forces fully serial scoring. More than one shard executes on the
 // process-wide work-stealing pool (scorepool.Shared), so under parallel
 // loading the machine's cores flow to whichever instance has work — there
-// is no need to divide cores among instances. Any shard count produces edge-for-edge
-// identical assignments — sharding uses fixed boundaries and a
-// deterministic shard-order reduction — so the knob trades only
+// is no need to divide cores among instances. Any shard count produces
+// edge-for-edge identical assignments — sharding uses fixed boundaries
+// and a deterministic shard-order reduction — so the knob trades only
 // wall-clock for cores.
 func WithScoreWorkers(n int) Option {
 	return func(c *config) { c.scoreWorkers = n }

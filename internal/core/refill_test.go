@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"time"
@@ -88,10 +89,7 @@ func TestRefillAssignsEveryEdge(t *testing.T) {
 		}
 		for _, workers := range []int{1, 2} {
 			for _, sized := range []bool{true, false} {
-				label := "sized"
-				if !sized {
-					label = "unsized"
-				}
+				label := fmt.Sprintf("w=%d workers=%d sized=%v", window, workers, sized)
 				requireSameAssignments(t, label, ref, run(workers, sized))
 			}
 		}
