@@ -56,44 +56,60 @@ func requireSameAssignments(t *testing.T, label string, a, b *metrics.Assignment
 	}
 }
 
-// TestRefillAssignsEveryEdge pins the refill loop at the stream's end: a
-// fixed window larger than the whole stream (the first refill drains it)
-// and one smaller than it, each over a sized stream and over a stream
-// that hides its length (run with WithTotalEdgesHint), must assign every
-// edge and match the sized one-shard run edge for edge, at one and two
-// shards.
-func TestRefillAssignsEveryEdge(t *testing.T) {
-	edges := equivalenceGraph(t)[:3_000]
-	for _, window := range []int{4096, 512} {
-		run := func(workers int, sized bool) *metrics.Assignment {
-			t.Helper()
-			ad, err := New(8,
-				WithInitialWindow(window),
-				WithFixedWindow(),
-				WithMaxCandidates(256),
-				WithScoreWorkers(workers),
-				WithTotalEdgesHint(int64(len(edges))),
-			)
-			if err != nil {
-				t.Fatal(err)
-			}
-			a, err := ad.Run(&drawStream{inner: stream.FromEdges(edges), sized: sized})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return a
+// checkRefillToEnd runs a fixed window of the given size over edges,
+// with WithTotalEdgesHint, at one and two shards, once for each entry of
+// sized (whether the stream reports its length); every run must assign
+// every edge and match the sized one-shard run edge for edge.
+func checkRefillToEnd(t *testing.T, edges []graph.Edge, window int, sized []bool) {
+	t.Helper()
+	run := func(workers int, sized bool) *metrics.Assignment {
+		t.Helper()
+		ad, err := New(8,
+			WithInitialWindow(window),
+			WithFixedWindow(),
+			WithMaxCandidates(256),
+			WithScoreWorkers(workers),
+			WithTotalEdgesHint(int64(len(edges))),
+		)
+		if err != nil {
+			t.Fatal(err)
 		}
-		ref := run(1, true)
-		if ref.Len() != len(edges) {
-			t.Fatalf("w=%d: sized one-shard run assigned %d of %d edges", window, ref.Len(), len(edges))
+		a, err := ad.Run(&drawStream{inner: stream.FromEdges(edges), sized: sized})
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, workers := range []int{1, 2} {
-			for _, sized := range []bool{true, false} {
-				label := fmt.Sprintf("w=%d workers=%d sized=%v", window, workers, sized)
-				requireSameAssignments(t, label, ref, run(workers, sized))
-			}
+		return a
+	}
+	ref := run(1, true)
+	if ref.Len() != len(edges) {
+		t.Fatalf("w=%d: sized one-shard run assigned %d of %d edges", window, ref.Len(), len(edges))
+	}
+	for _, workers := range []int{1, 2} {
+		for _, s := range sized {
+			label := fmt.Sprintf("w=%d workers=%d sized=%v", window, workers, s)
+			requireSameAssignments(t, label, ref, run(workers, s))
 		}
 	}
+}
+
+// TestBatchedRefillDeficitExceedsStream pins the refill loop when the
+// window's deficit is larger than the whole stream: the first refill
+// drains the stream, and the run must still assign every edge, sized or
+// not. The name dates from the batched refill path; the per-edge loop
+// that replaced it meets the same boundary.
+func TestBatchedRefillDeficitExceedsStream(t *testing.T) {
+	edges := equivalenceGraph(t)[:3_000]
+	checkRefillToEnd(t, edges, 4096, []bool{true, false}) // 4096 > 3000
+}
+
+// TestRefillUnknownRemaining pins the refill loop over a stream that
+// cannot report its length (Remaining is -1), given the length through
+// WithTotalEdgesHint: a window smaller than the stream refills many
+// times and must stop only at the stream's end. The sized multi-shard
+// run is the control.
+func TestRefillUnknownRemaining(t *testing.T) {
+	edges := equivalenceGraph(t)[:10_000]
+	checkRefillToEnd(t, edges, 512, []bool{true, false})
 }
 
 // TestC2UnsizedStreamMatchesSized pins condition (C2)'s edge count |E′|
