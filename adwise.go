@@ -345,27 +345,29 @@ type (
 	Runner = runtime.Runner
 )
 
-// RunSpotlight partitions edges with Z parallel instances of restricted
-// spread (§III-D of the paper). build receives the instance index and its
-// allowed partitions.
-func RunSpotlight(edges []Edge, cfg SpotlightConfig, build func(i int, allowed []int) (Runner, error)) (*Assignment, error) {
-	return runtime.RunSpotlight(edges, cfg, build)
-}
-
-// RunStrategySpotlight partitions edges with Z registry-built instances of
-// the named strategy, each restricted to its spotlight spread.
-func RunStrategySpotlight(name string, edges []Edge, cfg SpotlightConfig, spec StrategySpec) (*Assignment, error) {
-	return runtime.RunStrategySpotlight(name, edges, cfg, spec)
-}
-
-// RunStrategySpotlightStats is RunStrategySpotlight plus each instance's
-// StrategyStats. With window strategies scoring on the process-wide
-// work-stealing pool, per-instance counters stay correctly attributed
-// (an instance's score ops land in its own shard scratches no matter
-// which pool worker ran them); AggregateStrategyStats folds them into a
+// RunSpotlight partitions Z edge streams with Z parallel instances of
+// restricted spread (§III-D of the paper) and merges their assignments in
+// instance order. ChunkStreams and OpenFileStreams supply the streams;
+// build receives the instance index and its allowed partitions, and
+// cfg.Instances(name, spec) builds registry strategies. stats[i] is
+// instance i's StrategyStats; AggregateStrategyStats folds them into a
 // run-level view.
-func RunStrategySpotlightStats(name string, edges []Edge, cfg SpotlightConfig, spec StrategySpec) (*Assignment, []StrategyStats, error) {
-	return runtime.RunStrategySpotlightStats(name, edges, cfg, spec)
+func RunSpotlight(streams []Stream, cfg SpotlightConfig, build func(i int, allowed []int) (Runner, error)) (*Assignment, []StrategyStats, error) {
+	return runtime.RunSpotlightStreamsStats(streams, cfg, build)
+}
+
+// ChunkStreams splits edges into z near-equal contiguous chunk streams,
+// one per spotlight instance. Fewer edges than z is an error.
+func ChunkStreams(edges []Edge, z int) ([]Stream, error) { return runtime.ChunkStreams(edges, z) }
+
+// OpenFileStreams plans a graph file — text edge list or ADWB binary,
+// sniffed automatically — into z disjoint byte ranges and opens one
+// segment stream per range (the paper's Figure 3 deployment), metered
+// onto reg when it is non-nil. Binary files are planned by record
+// arithmetic on the header with no pass over the data. The returned func
+// closes the segments; on error nothing is left open.
+func OpenFileStreams(path string, z int, reg *MetricRegistry) ([]Stream, func(), error) {
+	return runtime.OpenFileStreams(path, z, reg)
 }
 
 // AggregateStrategyStats folds per-instance spotlight stats into one
@@ -380,24 +382,20 @@ func PublishStrategyStats(reg *MetricRegistry, st StrategyStats) {
 	runtime.PublishStats(reg, st)
 }
 
-// RunSpotlightStreams partitions Z edge streams with Z parallel instances
-// built by build — the general executor behind both loading models: in-
-// memory chunks (RunSpotlight) and disjoint file byte ranges
-// (PartitionFileSpotlight).
-func RunSpotlightStreams(streams []Stream, cfg SpotlightConfig, build func(i int, allowed []int) (Runner, error)) (*Assignment, error) {
-	return runtime.RunSpotlightStreams(streams, cfg, build)
-}
-
-// PartitionFileSpotlight partitions a graph file — text edge list or ADWB
-// binary, sniffed automatically — with Z registry-built instances of the
-// named strategy, each streaming a disjoint byte range of the file (the
-// paper's Figure 3 deployment). Binary files are planned by record
-// arithmetic on the header with no pass over the data. With streaming
-// strategies the edge list is never materialised, so the file may be far
-// larger than memory; the all-edge "ne" strategy still collects each
-// instance's segment.
+// PartitionFileSpotlight partitions a graph file with Z registry-built
+// instances of the named strategy, each streaming a disjoint byte range of
+// the file: OpenFileStreams (metered onto spec.Metrics), cfg.Instances and
+// RunSpotlight. With streaming strategies the edge list is never
+// materialised, so the file may be far larger than memory; the all-edge
+// "ne" strategy still collects each instance's segment.
 func PartitionFileSpotlight(name, path string, cfg SpotlightConfig, spec StrategySpec) (*Assignment, error) {
-	return runtime.RunStrategySpotlightFile(name, path, cfg, spec)
+	streams, closeAll, err := OpenFileStreams(path, cfg.Z, spec.Metrics)
+	if err != nil {
+		return nil, err
+	}
+	defer closeAll()
+	a, _, err := RunSpotlight(streams, cfg, cfg.Instances(name, spec))
+	return a, err
 }
 
 // AsRunner adapts a single-edge partitioner to a spotlight Runner.

@@ -70,7 +70,11 @@ func TestPublicSpotlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := adwise.SpotlightConfig{K: 8, Z: 4, Spread: 2}
-	a, err := adwise.RunSpotlight(g.Edges, cfg, func(i int, allowed []int) (adwise.Runner, error) {
+	streams, err := adwise.ChunkStreams(g.Edges, cfg.Z)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _, err := adwise.RunSpotlight(streams, cfg, func(i int, allowed []int) (adwise.Runner, error) {
 		p, err := adwise.NewBaseline(adwise.BaselineGreedy, adwise.BaselineConfig{K: 8, Allowed: allowed})
 		if err != nil {
 			return nil, err

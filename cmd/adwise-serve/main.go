@@ -74,6 +74,8 @@ func parseArgs(args []string) (options, error) {
 		return o, fmt.Errorf("-assignment and -in are mutually exclusive")
 	case o.in != "" && o.k < 1:
 		return o, fmt.Errorf("-k must be >= 1")
+	case o.in != "" && o.z < 1:
+		return o, fmt.Errorf("-z must be >= 1")
 	}
 	return o, nil
 }
@@ -100,20 +102,18 @@ func loadAssignment(o options) (*adwise.Assignment, error) {
 	if err != nil {
 		return nil, err
 	}
-	spec := adwise.StrategySpec{K: o.k, Seed: o.seed, Latency: o.latency, Window: o.window}
-	if o.z > 1 {
-		spread := o.spread
-		if spread == 0 {
-			spread = o.k / o.z
-		}
-		cfg := adwise.SpotlightConfig{K: o.k, Z: o.z, Spread: spread}
-		return adwise.RunStrategySpotlight(o.algo, g.Edges, cfg, spec)
+	spread := o.spread
+	if spread == 0 {
+		spread = o.k / o.z
 	}
-	s, err := adwise.NewStrategy(o.algo, spec)
+	cfg := adwise.SpotlightConfig{K: o.k, Z: o.z, Spread: spread}
+	streams, err := adwise.ChunkStreams(g.Edges, o.z)
 	if err != nil {
 		return nil, err
 	}
-	return s.Run(adwise.StreamGraph(g))
+	spec := adwise.StrategySpec{K: o.k, Seed: o.seed, Latency: o.latency, Window: o.window}
+	a, _, err := adwise.RunSpotlight(streams, cfg, cfg.Instances(o.algo, spec))
+	return a, err
 }
 
 // newHandler wraps the instrumented lookup API (request counters, latency

@@ -195,14 +195,21 @@ func TestServeFromGraph(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	graphPath, parts, _ := writeFixtures(t)
+	empty := filepath.Join(t.TempDir(), "empty.txt")
+	if err := os.WriteFile(empty, []byte("# no edges\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	tests := [][]string{
-		{},                                         // neither input
-		{"-assignment", parts, "-in", graphPath},   // both inputs
-		{"-assignment", "/nonexistent.tsv"},        // unreadable assignment
-		{"-in", "/nonexistent.txt"},                // unreadable graph
-		{"-in", graphPath, "-algo", "bogus"},       // unknown strategy
-		{"-in", graphPath, "-k", "0"},              // invalid k
-		{"-assignment", parts, "-addr", "bogus:x"}, // unlistenable address
+		{},                                            // neither input
+		{"-assignment", parts, "-in", graphPath},      // both inputs
+		{"-assignment", "/nonexistent.tsv"},           // unreadable assignment
+		{"-in", "/nonexistent.txt"},                   // unreadable graph
+		{"-in", graphPath, "-algo", "bogus"},          // unknown strategy
+		{"-in", graphPath, "-k", "0"},                 // invalid k
+		{"-in", graphPath, "-z", "0"},                 // invalid z
+		{"-in", graphPath, "-k", "4", "-spread", "2"}, // z=1 fills all k partitions
+		{"-in", empty},                                // no edge for the one instance
+		{"-assignment", parts, "-addr", "bogus:x"},    // unlistenable address
 	}
 	for _, args := range tests {
 		if err := run(args); err == nil {

@@ -9,13 +9,13 @@
 //	adwise -in graph.txt -k 32 -z 8 -spread 4 -algo adwise -latency 5s
 //	adwise -in graph.txt -k 32 -algo adwise -window 4096 -score-workers 8
 //
-// With -z > 1 the input is partitioned by z parallel instances under the
-// spotlight optimization with the given spread, each streaming a disjoint
-// byte range of the file (segmented loading) — for text edge lists and
-// binary (.bin) inputs alike; binary ranges are planned from the header
-// with no pass over the data. Streaming strategies never materialise the
-// edge list, so the input may be larger than memory (the all-edge "ne"
-// strategy still collects each instance's segment).
+// The input is partitioned by z parallel instances (one by default) under
+// the spotlight optimization with the given spread, each streaming a
+// disjoint byte range of the file (segmented loading) — for text edge
+// lists and binary (.bin) inputs alike; binary ranges are planned from the
+// header with no pass over the data. Streaming strategies never
+// materialise the edge list, so the input may be larger than memory (the
+// all-edge "ne" strategy still collects each instance's segment).
 package main
 
 import (
@@ -60,6 +60,9 @@ func run(args []string) error {
 	}
 	if *k < 1 {
 		return fmt.Errorf("-k must be >= 1")
+	}
+	if *z < 1 {
+		return fmt.Errorf("-z must be >= 1")
 	}
 
 	// With -metrics-out the run is instrumented: pool pass/steal counters
@@ -114,32 +117,25 @@ func run(args []string) error {
 	return nil
 }
 
+// partitionInput runs z registry instances of algo over z disjoint byte
+// ranges of the input (one range covering the whole file at z = 1) and
+// publishes the run's aggregate stats onto reg.
 func partitionInput(in, algo string, k, z, spread int, seed uint64, latency time.Duration, window, workers int, budget int64, reg *adwise.MetricRegistry) (*adwise.Assignment, error) {
 	spec := adwise.StrategySpec{K: k, Seed: seed, Latency: latency, Window: window, ScoreWorkers: workers, VertexBudgetBytes: budget, Metrics: reg}
-	if z > 1 {
-		if spread == 0 {
-			spread = k / z
-		}
-		// Feed the z instances from disjoint byte ranges of the file
-		// without materialising the edge list, whatever the format.
-		cfg := adwise.SpotlightConfig{K: k, Z: z, Spread: spread}
-		fmt.Printf("streaming %s: z=%d segmented byte-range loaders, spread=%d\n", in, z, spread)
-		return adwise.PartitionFileSpotlight(algo, in, cfg, spec)
+	if spread == 0 {
+		spread = k / z
 	}
-	s, err := adwise.NewStrategy(algo, spec)
+	cfg := adwise.SpotlightConfig{K: k, Z: z, Spread: spread}
+	streams, closeAll, err := adwise.OpenFileStreams(in, z, reg)
 	if err != nil {
 		return nil, err
 	}
-	fs, err := adwise.StreamFile(in)
+	defer closeAll()
+	fmt.Printf("streaming %s: z=%d segment loaders, spread=%d\n", in, z, spread)
+	a, stats, err := adwise.RunSpotlight(streams, cfg, cfg.Instances(algo, spec))
 	if err != nil {
 		return nil, err
 	}
-	defer fs.Close()
-	fmt.Printf("streaming %s: %d edges\n", in, fs.Remaining())
-	a, err := s.Run(fs)
-	if err != nil {
-		return nil, err
-	}
-	adwise.PublishStrategyStats(reg, s.Stats())
+	adwise.PublishStrategyStats(reg, adwise.AggregateStrategyStats(stats))
 	return a, nil
 }

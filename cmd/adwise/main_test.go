@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -140,6 +141,10 @@ func TestRunWritesAssignment(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	path := writeTestGraph(t)
+	empty := filepath.Join(t.TempDir(), "empty.txt")
+	if err := os.WriteFile(empty, []byte("# no edges\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	tests := [][]string{
 		{},                          // missing -in
 		{"-in", "/nonexistent.txt"}, // unreadable graph
@@ -147,10 +152,41 @@ func TestRunErrors(t *testing.T) {
 		{"-in", path, "-algo", "bogus"},
 		{"-in", path, "-vcache-budget", "nan"},  // would wrap to "unlimited"
 		{"-in", path, "-vcache-budget", "1e20"}, // overflows int64
+		{"-in", path, "-z", "0"},
+		{"-in", path, "-k", "4", "-spread", "2"}, // z=1 fills all k partitions
+		{"-in", empty},                           // no edge for the one instance
 	}
 	for _, args := range tests {
 		if err := run(args); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)
+		}
+	}
+}
+
+// TestRunMetricsOutPublishesRunStats checks that the final -metrics-out
+// snapshot carries the run's stats at every z, not only at z = 1.
+func TestRunMetricsOutPublishesRunStats(t *testing.T) {
+	path := writeTestGraph(t)
+	g, err := adwise.LoadGraph(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, z := range []string{"1", "2"} {
+		out := filepath.Join(t.TempDir(), "metrics.jsonl")
+		if err := run([]string{"-in", path, "-k", "4", "-z", z, "-algo", "hdrf", "-metrics-out", out}); err != nil {
+			t.Fatalf("-z %s: %v", z, err)
+		}
+		raw, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := bytes.Split(bytes.TrimSpace(raw), []byte("\n"))
+		var final adwise.MetricSnapshot
+		if err := json.Unmarshal(lines[len(lines)-1], &final); err != nil {
+			t.Fatalf("-z %s: final snapshot: %v", z, err)
+		}
+		if p, ok := final.Counter("runtime.assignments"); !ok || p.Value != int64(g.E()) {
+			t.Errorf("-z %s: final runtime.assignments = %d (present %v), want %d", z, p.Value, ok, g.E())
 		}
 	}
 }

@@ -28,10 +28,14 @@ func main() {
 	for _, spread := range []int{32, 16, 8, 4} {
 		for _, strategy := range []string{"hdrf", "adwise"} {
 			cfg := adwise.SpotlightConfig{K: k, Z: z, Spread: spread}
-			// One registry call covers both strategies: HDRF ignores the
+			streams, err := adwise.ChunkStreams(g.Edges, z)
+			if err != nil {
+				log.Fatal(err)
+			}
+			// One registry spec covers both strategies: HDRF ignores the
 			// window knob, ADWISE runs a fixed 64-edge window.
-			a, err := adwise.RunStrategySpotlight(strategy, g.Edges, cfg,
-				adwise.StrategySpec{K: k, Window: 64})
+			a, _, err := adwise.RunSpotlight(streams, cfg,
+				cfg.Instances(strategy, adwise.StrategySpec{K: k, Window: 64}))
 			if err != nil {
 				log.Fatal(err)
 			}

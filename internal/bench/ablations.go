@@ -169,14 +169,14 @@ func AblationOrder(cfg Config) (*Table, error) {
 			strat string
 			spec  runtime.Spec
 		}{
-			{"hdrf", runtime.Spec{K: cfg.K, Seed: cfg.Seed}},
-			{"adwise", runtime.Spec{K: cfg.K, Seed: cfg.Seed, Window: 128}},
+			{"hdrf", runtime.Spec{}},
+			{"adwise", runtime.Spec{Window: 128}},
 		} {
-			a, err := runtime.RunStrategySpotlight(v.strat, edges, cfg.spotlightConfig(), v.spec)
+			r, err := cfg.runStrategy(v.strat, edges, v.spec)
 			if err != nil {
 				return nil, fmt.Errorf("bench: ablation-order %s/%s: %w", order, v.strat, err)
 			}
-			rf := metrics.Summarize(a).ReplicationDegree
+			rf := r.Summary.ReplicationDegree
 			t.AddRow(order, v.strat, rf)
 			cfg.progressf("ablation-order: %s %s RF=%.3f", order, v.strat, rf)
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/adwise-go/adwise/internal/gen"
-	"github.com/adwise-go/adwise/internal/metrics"
 	"github.com/adwise-go/adwise/internal/runtime"
 )
 
@@ -41,16 +40,16 @@ func Figure8(cfg Config) (*Table, error) {
 		row := []any{name}
 		var first, last float64
 		for i, spread := range spreads {
-			scfg := runtime.SpotlightConfig{K: cfg.K, Z: cfg.Z, Spread: spread}
+			at := cfg
+			at.Spread = spread
 			// A moderate fixed window keeps the ADWISE sweep deterministic
 			// and isolates the spread effect from the latency-adaptation
 			// loop; the single-edge strategies ignore the window knob.
-			a, err := runtime.RunStrategySpotlight(name, edges, scfg,
-				runtime.Spec{K: cfg.K, Seed: cfg.Seed, Window: 64})
+			r, err := at.runStrategy(name, edges, runtime.Spec{Window: 64})
 			if err != nil {
 				return nil, fmt.Errorf("bench: fig8 %s spread=%d: %w", name, spread, err)
 			}
-			rf := metrics.Summarize(a).ReplicationDegree
+			rf := r.Summary.ReplicationDegree
 			row = append(row, rf)
 			if i == 0 {
 				first = rf

@@ -16,11 +16,11 @@ import (
 // Ingest measures the full ingest matrix for feeding the Z spotlight
 // instances from a graph file (§III-D, Figure 3): both on-disk formats —
 // text edge list and fixed-record ADWB binary — each loaded both ways:
-// materialise the edge list and chunk it (graph.LoadFile +
-// RunStrategySpotlight) versus streaming disjoint byte ranges of the file
-// (RunStrategySpotlightFile). All four paths partition the same Web-like
-// graph with the same strategy; the table reports wall time and bytes
-// allocated. Binary segmented should win outright: fixed records skip
+// materialise the edge list and chunk it (graph.LoadFile + ChunkStreams)
+// versus streaming disjoint byte ranges of the file (OpenFileStreams), both
+// through the one spotlight executor. All four paths partition the same
+// Web-like graph with the same strategy; the table reports wall time and
+// bytes allocated. Binary segmented should win outright: fixed records skip
 // text parsing, and its planning is header arithmetic — no counting pass
 // over the file at all.
 func Ingest(cfg Config) (*Table, error) {
@@ -86,7 +86,12 @@ func Ingest(cfg Config) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			return runtime.RunStrategySpotlight(strategy, loaded.Edges, scfg, spec)
+			streams, err := runtime.ChunkStreams(loaded.Edges, scfg.Z)
+			if err != nil {
+				return nil, err
+			}
+			a, _, err := runtime.RunSpotlightStreamsStats(streams, scfg, scfg.Instances(strategy, spec))
+			return a, err
 		})
 		if err != nil {
 			return nil, err
@@ -94,7 +99,13 @@ func Ingest(cfg Config) (*Table, error) {
 		cfg.progressf("  ingest %s: %v, %.1f MB allocated", materialised.label, materialised.latency, materialised.allocMB)
 
 		segmented, err := measure(format+" segmented", func() (*metrics.Assignment, error) {
-			return runtime.RunStrategySpotlightFile(strategy, path, scfg, spec)
+			streams, closeAll, err := runtime.OpenFileStreams(path, scfg.Z, nil)
+			if err != nil {
+				return nil, err
+			}
+			defer closeAll()
+			a, _, err := runtime.RunSpotlightStreamsStats(streams, scfg, scfg.Instances(strategy, spec))
+			return a, err
 		})
 		if err != nil {
 			return nil, err
@@ -108,7 +119,7 @@ func Ingest(cfg Config) (*Table, error) {
 		Title:   fmt.Sprintf("file ingest, %s, %d edges, z=%d loaders, {text,binary} x {materialised,segmented}", strategy, edges, scfg.Z),
 		Columns: []string{"ingest", "latency", "alloc MB", "RF"},
 		Notes: []string{
-			"materialised = LoadFile + chunked RunStrategySpotlight; segmented = byte-range RunStrategySpotlightFile",
+			"materialised = LoadFile + ChunkStreams; segmented = byte-range OpenFileStreams; both through RunSpotlightStreamsStats",
 			"segmented loading never holds the full edge slice: its steady memory is the per-loader read buffers",
 			"plus the vertex caches — constant in the edge count, so the win over materialising grows with the file",
 			"binary segmented additionally plans by header arithmetic (no counting pass) and decodes fixed records",

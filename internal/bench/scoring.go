@@ -171,18 +171,12 @@ func scoringSkew(cfg Config, tab *Table) error {
 
 	// run executes one skew cell. workers is the per-instance logical
 	// shard count: more than one submits to the shared pool, one scores
-	// inline.
+	// inline. Instances splits the run-level budget of workers·z back
+	// into workers per instance.
 	run := func(workers int) (*metrics.Assignment, runtime.Stats, time.Duration, error) {
 		start := clk.Now()
-		a, stats, err := runtime.RunSpotlightStreamsStats(streams(), scfg, func(i int, allowed []int) (runtime.Runner, error) {
-			return runtime.New("adwise", runtime.Spec{
-				K:            cfg.K,
-				Allowed:      allowed,
-				Seed:         cfg.Seed + uint64(i),
-				Window:       scoringSkewWindow,
-				ScoreWorkers: workers,
-			})
-		})
+		spec := runtime.Spec{Seed: cfg.Seed, Window: scoringSkewWindow, ScoreWorkers: workers * z}
+		a, stats, err := runtime.RunSpotlightStreamsStats(streams(), scfg, scfg.Instances("adwise", spec))
 		if err != nil {
 			return nil, runtime.Stats{}, 0, err
 		}

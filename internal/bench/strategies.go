@@ -49,7 +49,8 @@ func (c Config) spotlightConfig() runtime.SpotlightConfig {
 }
 
 // runStrategy partitions edges with the named registry strategy under the
-// paper's parallel-loading setup.
+// paper's parallel-loading setup: Z in-memory chunks, one registry
+// instance each.
 func (c Config) runStrategy(name string, edges []graph.Edge, spec runtime.Spec) (StrategyResult, error) {
 	spec.K = c.K
 	if spec.Seed == 0 {
@@ -58,9 +59,14 @@ func (c Config) runStrategy(name string, edges []graph.Edge, spec runtime.Spec) 
 	if spec.ScoreWorkers == 0 {
 		spec.ScoreWorkers = c.ScoreWorkers
 	}
+	scfg := c.spotlightConfig()
 	clk := c.clock()
 	start := clk.Now()
-	a, err := runtime.RunStrategySpotlight(name, edges, c.spotlightConfig(), spec)
+	streams, err := runtime.ChunkStreams(edges, scfg.Z)
+	if err != nil {
+		return StrategyResult{}, fmt.Errorf("bench: running %s: %w", name, err)
+	}
+	a, _, err := runtime.RunSpotlightStreamsStats(streams, scfg, scfg.Instances(name, spec))
 	if err != nil {
 		return StrategyResult{}, fmt.Errorf("bench: running %s: %w", name, err)
 	}

@@ -32,8 +32,8 @@ type goldenCell struct {
 	strategy string // "adwise" or "hdrf"
 	z        int
 	spread   int
-	// file runs RunStrategySpotlightFile over the edges saved as text;
-	// false runs RunStrategySpotlight over the in-memory edges.
+	// file feeds the instances from OpenFileStreams over the edges saved
+	// as text; false from ChunkStreams over the in-memory edges.
 	file bool
 }
 
@@ -98,17 +98,17 @@ func assignmentDigest(a *metrics.Assignment) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// runGoldenCell runs the cell through its spotlight entry point and
-// returns its digest line.
+// runGoldenCell runs the cell's registry instances (Instances) through the
+// executor, fed by its source, and returns its digest line.
 func runGoldenCell(t *testing.T, c goldenCell, edges []graph.Edge, path string) string {
 	t.Helper()
 	cfg := SpotlightConfig{K: goldenK, Z: c.z, Spread: c.spread}
 	var a *metrics.Assignment
 	var err error
 	if c.file {
-		a, err = RunStrategySpotlightFile(c.strategy, path, cfg, c.spec())
+		a, err = runFile(c.strategy, path, cfg, c.spec())
 	} else {
-		a, err = RunStrategySpotlight(c.strategy, edges, cfg, c.spec())
+		a, err = runChunks(edges, cfg, cfg.Instances(c.strategy, c.spec()))
 	}
 	if err != nil {
 		t.Fatalf("%s: %v", c.name(), err)
@@ -126,8 +126,8 @@ func runGoldenCell(t *testing.T, c goldenCell, edges []graph.Edge, path string) 
 // its merged assignment, its replication factor and its largest
 // partition exactly. The core and partition golden files pin single
 // instances; this one pins the chunking, per-instance spreads, seeds,
-// shard splits and the merge of both spotlight entry points. Run with
-// -update to re-record after an intended behaviour change.
+// shard splits and the merge of the spotlight executor over both sources.
+// Run with -update to re-record after an intended behaviour change.
 func TestGoldenSpotlightDigests(t *testing.T) {
 	g := goldenGraph(t)
 	path := filepath.Join(t.TempDir(), "golden.txt")

@@ -30,7 +30,7 @@ func TestSpotlightFilePublishesStreamMetrics(t *testing.T) {
 	reg := metric.New()
 	cfg := SpotlightConfig{K: 8, Z: 4, Spread: 2}
 	spec := Spec{K: 8, Seed: 3, Metrics: reg}
-	asn, err := RunStrategySpotlightFile("hdrf", path, cfg, spec)
+	asn, err := runFile("hdrf", path, cfg, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

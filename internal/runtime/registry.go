@@ -31,7 +31,8 @@ type Spec struct {
 	// overriding latency adaptation.
 	Window int
 	// TotalEdgesHint supplies the stream length when the stream cannot
-	// report it (per-chunk hint under parallel loading).
+	// report it (Remaining() < 0). Spotlight chunks and segments report
+	// theirs, so SpotlightConfig.Instances sets none.
 	TotalEdgesHint int64
 	// Lambda overrides the balancing weight of strategies that take one
 	// (HDRF); 0 selects the strategy default.
@@ -39,14 +40,15 @@ type Spec struct {
 	// ScoreWorkers sets the window-scoring logical shard count of
 	// window-class strategies (ADWISE). 0 = auto: GOMAXPROCS shards
 	// executing on the process-wide work-stealing pool, which arbitrates
-	// cores across spotlight instances dynamically. Under the spotlight
-	// conveniences an explicit value is a per-run budget distributed
-	// across the z instances with remainder spread (splitScoreWorkers).
+	// cores across spotlight instances dynamically. Under
+	// SpotlightConfig.Instances an explicit value is a per-run budget
+	// distributed across the z instances with remainder spread
+	// (splitScoreWorkers).
 	// Any value yields identical assignments.
 	ScoreWorkers int
 	// VertexBudgetBytes caps the byte footprint of the instance's vertex
-	// state; 0 leaves it unbounded. Under the spotlight conveniences
-	// a run-level budget is divided across the z instances
+	// state; 0 leaves it unbounded. Under SpotlightConfig.Instances a
+	// run-level budget is divided across the z instances
 	// (splitVertexBudget), since all z caches coexist for the run.
 	VertexBudgetBytes int64
 	// Options are extra ADWISE options applied after the Spec-derived
@@ -55,10 +57,10 @@ type Spec struct {
 	Options []core.Option
 	// Metrics, when non-nil, attaches a live telemetry registry:
 	// window-class instances publish their pool pass/steal counters and
-	// run totals onto it (core.WithMetrics), and the file-spotlight
-	// executor meters its segment streams. Spotlight instances share the
+	// run totals onto it (core.WithMetrics). Spotlight instances share the
 	// one registry — counters are striped and lock-free, so z concurrent
-	// publishers do not contend.
+	// publishers do not contend — and callers hand the same registry to
+	// OpenFileStreams to meter the segment streams.
 	Metrics *metric.Registry
 }
 

@@ -201,7 +201,7 @@ func TestNERestrictedSpreadRemaps(t *testing.T) {
 func TestNEWorksUnderSpotlight(t *testing.T) {
 	g := clusteredGraph(t)
 	cfg := SpotlightConfig{K: 8, Z: 4, Spread: 2}
-	a, err := RunStrategySpotlight("ne", g.Edges, cfg, Spec{K: 8, Seed: 3})
+	a, err := runChunks(g.Edges, cfg, cfg.Instances("ne", Spec{K: 8, Seed: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,9 +227,12 @@ func TestStrategyRunIsSingleUseForAdwise(t *testing.T) {
 	}
 }
 
+// TestRunStrategySpotlightDefaultsSpecK checks that Instances builds the
+// instances over the config's K when the Spec leaves K zero.
 func TestRunStrategySpotlightDefaultsSpecK(t *testing.T) {
 	g := clusteredGraph(t)
-	a, err := RunStrategySpotlight("hash", g.Edges, SpotlightConfig{K: 8, Z: 4, Spread: 2}, Spec{Seed: 1})
+	cfg := SpotlightConfig{K: 8, Z: 4, Spread: 2}
+	a, err := runChunks(g.Edges, cfg, cfg.Instances("hash", Spec{Seed: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}

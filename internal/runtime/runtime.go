@@ -8,7 +8,9 @@
 //
 //	Strategy (name, run-over-stream, stats)
 //	  ↑ registry (name → builder, Spec carries the shared knobs)
-//	  ↑ spotlight executor (RunSpotlight: z instances, restricted spread)
+//	  ↑ spotlight executor (RunSpotlightStreamsStats: z instances,
+//	    restricted spread; streams from ChunkStreams or OpenFileStreams,
+//	    registry instances from SpotlightConfig.Instances)
 //	  ↑ vertex cache + batched edge streams (the measured hot paths)
 //
 // Everything above this package — the bench harness, both CLIs, the public
@@ -33,12 +35,6 @@ import (
 type Runner interface {
 	Run(s stream.Stream) (*metrics.Assignment, error)
 }
-
-// RunnerFunc adapts a function to the Runner interface.
-type RunnerFunc func(s stream.Stream) (*metrics.Assignment, error)
-
-// Run implements Runner.
-func (f RunnerFunc) Run(s stream.Stream) (*metrics.Assignment, error) { return f(s) }
 
 // Strategy is a named, stats-reporting Runner — the single abstraction all
 // partitioning strategies implement. Instances are single-use: one Run per
@@ -135,16 +131,9 @@ type partitionerStrategy struct {
 }
 
 // FromPartitioner wraps a single-edge streaming partitioner as a Strategy.
-// Latency is measured on the real clock; FromPartitionerClock substitutes
-// a fake one for deterministic tests.
+// Latency is measured on the real clock.
 func FromPartitioner(p partition.Partitioner) Strategy {
-	return FromPartitionerClock(p, clock.Real{})
-}
-
-// FromPartitionerClock is FromPartitioner with an injected time source
-// for the PartitioningLatency measurement.
-func FromPartitionerClock(p partition.Partitioner, clk clock.Clock) Strategy {
-	return &partitionerStrategy{p: p, clk: clk}
+	return &partitionerStrategy{p: p, clk: clock.Real{}}
 }
 
 func (ps *partitionerStrategy) Name() string { return ps.p.Name() }

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"github.com/adwise-go/adwise/internal/graph"
+	"github.com/adwise-go/adwise/internal/metric"
 	"github.com/adwise-go/adwise/internal/metrics"
 	"github.com/adwise-go/adwise/internal/stream"
 )
@@ -62,25 +63,20 @@ func (c SpotlightConfig) SpreadFor(i int) []int {
 	return parts
 }
 
-// RunSpotlightStreams partitions Z edge streams with Z parallel instances
-// built by build(i, allowed) — instance i consumes streams[i] — and merges
-// their assignments in instance order. It is the general executor behind
-// both loading models of the paper: in-memory chunks (RunSpotlight) and
-// disjoint byte ranges of one graph file (RunStrategySpotlightFile).
-// Builders typically return a registry-constructed Strategy; any Runner
-// works. A stream that fails mid-pass fails the run even if its Runner
-// ignored the stream error contract.
-func RunSpotlightStreams(streams []stream.Stream, cfg SpotlightConfig, build func(i int, allowed []int) (Runner, error)) (*metrics.Assignment, error) {
-	a, _, err := RunSpotlightStreamsStats(streams, cfg, build)
-	return a, err
-}
-
-// RunSpotlightStreamsStats is RunSpotlightStreams plus per-instance
-// statistics: stats[i] is instance i's Stats if its Runner implements
-// Strategy (zero otherwise). With every instance scoring on the shared
-// work-stealing pool, per-instance counters remain correctly attributed —
-// each instance's score ops land in its own shard scratches no matter
-// which pool worker executed them — so summing stats across instances
+// RunSpotlightStreamsStats partitions Z edge streams with Z parallel
+// instances built by build(i, allowed) — instance i consumes streams[i] —
+// and merges their assignments in instance order. It is the one executor
+// of the paper's parallel loading model: the streams are in-memory chunks
+// (ChunkStreams) or disjoint byte ranges of one graph file
+// (OpenFileStreams), and Instances builds registry strategies for them;
+// any Runner works. A stream that fails mid-pass fails the run even if its
+// Runner ignored the stream error contract.
+//
+// stats[i] is instance i's Stats if its Runner implements Strategy (zero
+// otherwise). With every instance scoring on the shared work-stealing
+// pool, per-instance counters remain correctly attributed — each
+// instance's score ops land in its own shard scratches no matter which
+// pool worker executed them — so summing stats across instances
 // (AggregateStats) neither double-counts nor loses pool-executed work.
 func RunSpotlightStreamsStats(streams []stream.Stream, cfg SpotlightConfig, build func(i int, allowed []int) (Runner, error)) (*metrics.Assignment, []Stats, error) {
 	if err := cfg.validate(); err != nil {
@@ -149,25 +145,91 @@ func RunSpotlightStreamsStats(streams []stream.Stream, cfg SpotlightConfig, buil
 	return merged, stats, nil
 }
 
-// RunSpotlight partitions an in-memory edge slice with Z parallel
-// instances: the slice is split into Z near-equal contiguous chunks
-// (stream.Chunks), mirroring the paper's parallel loading model where each
-// worker machine streams its own chunk of the graph file. Fewer edges than
-// Z is an error — stream.Chunks would silently build fewer runners,
-// leaving the remaining spreads' partitions unreachable with no signal.
-func RunSpotlight(edges []graph.Edge, cfg SpotlightConfig, build func(i int, allowed []int) (Runner, error)) (*metrics.Assignment, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
+// ChunkStreams splits an in-memory edge slice into z near-equal contiguous
+// chunks (stream.Chunks), one stream per spotlight instance, mirroring the
+// paper's parallel loading model where each worker machine streams its own
+// chunk of the graph file. Fewer edges than z is an error — stream.Chunks
+// would silently return fewer chunks, leaving the remaining spreads'
+// partitions unreachable with no signal.
+func ChunkStreams(edges []graph.Edge, z int) ([]stream.Stream, error) {
+	if len(edges) < z {
+		return nil, fmt.Errorf("runtime: spotlight needs at least Z=%d edges so every instance receives a chunk, got %d", z, len(edges))
 	}
-	if len(edges) < cfg.Z {
-		return nil, fmt.Errorf("runtime: spotlight needs at least Z=%d edges so every instance receives a chunk, got %d", cfg.Z, len(edges))
-	}
-	chunks := stream.Chunks(edges, cfg.Z)
+	chunks := stream.Chunks(edges, z)
 	streams := make([]stream.Stream, len(chunks))
 	for i, ch := range chunks {
 		streams[i] = stream.FromEdges(ch)
 	}
-	return RunSpotlightStreams(streams, cfg, build)
+	return streams, nil
+}
+
+// OpenFileStreams plans the graph file at path — text edge list or ADWB
+// binary, sniffed by the ingest layer — into z disjoint byte ranges and
+// opens one segment stream per range (stream.PlanFile +
+// stream.OpenSegment): the paper's Figure 3 deployment, where z loader
+// machines each consume their own chunk of one large graph file. Text
+// files are planned with one counting pass; binary files by record
+// arithmetic on the header alone. With streaming strategies the edge list
+// is never materialised: peak memory is z segment readers plus the
+// per-instance vertex caches (the all-edge "ne" strategy collects its
+// segment by design).
+//
+// With a non-nil reg every segment is metered: edges tick live per batch,
+// so a flusher sampling the registry sees ingest progress mid-pass, the
+// planned byte length lands up front, and exhaustion bumps the
+// segments-done counter. The returned func closes every segment; on error
+// nothing is left open.
+func OpenFileStreams(path string, z int, reg *metric.Registry) ([]stream.Stream, func(), error) {
+	ranges, err := stream.PlanFile(path, z)
+	if err != nil {
+		return nil, nil, err
+	}
+	segs := make([]stream.FileStream, 0, len(ranges))
+	closeAll := func() {
+		for _, s := range segs {
+			s.Close()
+		}
+	}
+	streams := make([]stream.Stream, len(ranges))
+	for i, r := range ranges {
+		seg, err := stream.OpenSegment(r)
+		if err != nil {
+			closeAll()
+			return nil, nil, err
+		}
+		segs = append(segs, seg)
+		streams[i] = seg
+		if reg != nil {
+			reg.Counter(stream.MetricBytesPlanned).Inc(r.End - r.Start)
+			segsDone := reg.Counter(stream.MetricSegmentsDone)
+			streams[i] = stream.NewMetered(seg, reg.Counter(stream.MetricEdgesRead), func() {
+				segsDone.Inc(1)
+			})
+		}
+	}
+	return streams, closeAll, nil
+}
+
+// Instances returns the builder of RunSpotlightStreamsStats for Z
+// registry instances of the named strategy under c: instance i gets spec
+// with K defaulted to c.K, its spread as Allowed, the seed offset by i,
+// and its share of the run-level ScoreWorkers and VertexBudgetBytes
+// budgets. It sets no TotalEdgesHint: chunks and segments report their
+// exact length through Remaining, and ADWISE takes m (Eq. 4) from there.
+func (c SpotlightConfig) Instances(name string, spec Spec) func(i int, allowed []int) (Runner, error) {
+	if spec.K == 0 {
+		spec.K = c.K
+	}
+	shares := splitScoreWorkers(spec.ScoreWorkers, c.Z, c.Sequential)
+	budgets := splitVertexBudget(spec.VertexBudgetBytes, c.Z)
+	return func(i int, allowed []int) (Runner, error) {
+		s := spec
+		s.Allowed = allowed
+		s.Seed = spec.Seed + uint64(i)
+		s.ScoreWorkers = shares[i]
+		s.VertexBudgetBytes = budgets[i]
+		return New(name, s)
+	}
 }
 
 // splitScoreWorkers resolves the per-instance logical scoring shard
@@ -229,113 +291,4 @@ func splitVertexBudget(total int64, z int) []int64 {
 		}
 	}
 	return shares
-}
-
-// RunStrategySpotlight is the registry-driven convenience: it partitions
-// edges with Z instances of the named strategy, each restricted to its
-// spread, with the per-instance seed offset, chunk-size hint, and
-// score-worker share the paper's setup uses.
-func RunStrategySpotlight(name string, edges []graph.Edge, cfg SpotlightConfig, spec Spec) (*metrics.Assignment, error) {
-	a, _, err := RunStrategySpotlightStats(name, edges, cfg, spec)
-	return a, err
-}
-
-// RunStrategySpotlightStats is RunStrategySpotlight plus the per-instance
-// Stats of RunSpotlightStreamsStats.
-func RunStrategySpotlightStats(name string, edges []graph.Edge, cfg SpotlightConfig, spec Spec) (*metrics.Assignment, []Stats, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, nil, err
-	}
-	if len(edges) < cfg.Z {
-		return nil, nil, fmt.Errorf("runtime: spotlight needs at least Z=%d edges so every instance receives a chunk, got %d", cfg.Z, len(edges))
-	}
-	if spec.K == 0 {
-		spec.K = cfg.K
-	}
-	shares := splitScoreWorkers(spec.ScoreWorkers, cfg.Z, cfg.Sequential)
-	budgets := splitVertexBudget(spec.VertexBudgetBytes, cfg.Z)
-	chunkEdges := int64(len(edges)/max(cfg.Z, 1) + 1)
-	chunks := stream.Chunks(edges, cfg.Z)
-	streams := make([]stream.Stream, len(chunks))
-	for i, ch := range chunks {
-		streams[i] = stream.FromEdges(ch)
-	}
-	return RunSpotlightStreamsStats(streams, cfg, func(i int, allowed []int) (Runner, error) {
-		s := spec
-		s.Allowed = allowed
-		s.Seed = spec.Seed + uint64(i)
-		s.ScoreWorkers = shares[i]
-		s.VertexBudgetBytes = budgets[i]
-		if s.TotalEdgesHint == 0 {
-			s.TotalEdgesHint = chunkEdges
-		}
-		return New(name, s)
-	})
-}
-
-// RunStrategySpotlightFile partitions the graph file at path — text edge
-// list or ADWB binary, sniffed by the ingest layer — with Z registry-built
-// instances of the named strategy, each streaming a disjoint byte range of
-// the file (stream.PlanFile + stream.OpenSegment): the paper's Figure 3
-// deployment, where z loader machines each consume their own chunk of one
-// large graph file. Text files are planned with one counting pass; binary
-// files by record arithmetic on the header alone, with no pass over the
-// data at all. With streaming strategies the edge list is never
-// materialised: peak memory is z segment readers plus the per-instance
-// vertex caches. (The all-edge "ne" strategy is the exception — it
-// collects each instance's segment into memory by design.) Each instance
-// gets the per-instance seed offset of RunStrategySpotlight and an exact
-// per-segment edge count for condition (C2).
-func RunStrategySpotlightFile(name, path string, cfg SpotlightConfig, spec Spec) (*metrics.Assignment, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	ranges, err := stream.PlanFile(path, cfg.Z)
-	if err != nil {
-		return nil, err
-	}
-	segs := make([]stream.FileStream, len(ranges))
-	defer func() {
-		for _, s := range segs {
-			if s != nil {
-				s.Close()
-			}
-		}
-	}()
-	streams := make([]stream.Stream, len(ranges))
-	for i, r := range ranges {
-		seg, err := stream.OpenSegment(r)
-		if err != nil {
-			return nil, err
-		}
-		segs[i], streams[i] = seg, seg
-		if spec.Metrics != nil {
-			// Meter each segment: edges tick live per batch (a flusher
-			// sampling the registry sees ingest progress mid-pass), the
-			// planned byte length lands up front, and exhaustion bumps the
-			// segments-done counter.
-			reg := spec.Metrics
-			reg.Counter(stream.MetricBytesPlanned).Inc(r.End - r.Start)
-			segsDone := reg.Counter(stream.MetricSegmentsDone)
-			streams[i] = stream.NewMetered(seg, reg.Counter(stream.MetricEdgesRead), func() {
-				segsDone.Inc(1)
-			})
-		}
-	}
-	if spec.K == 0 {
-		spec.K = cfg.K
-	}
-	shares := splitScoreWorkers(spec.ScoreWorkers, cfg.Z, cfg.Sequential)
-	budgets := splitVertexBudget(spec.VertexBudgetBytes, cfg.Z)
-	return RunSpotlightStreams(streams, cfg, func(i int, allowed []int) (Runner, error) {
-		s := spec
-		s.Allowed = allowed
-		s.Seed = spec.Seed + uint64(i)
-		s.ScoreWorkers = shares[i]
-		s.VertexBudgetBytes = budgets[i]
-		if s.TotalEdgesHint == 0 {
-			s.TotalEdgesHint = ranges[i].Edges
-		}
-		return New(name, s)
-	})
 }

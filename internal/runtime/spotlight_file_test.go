@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"github.com/adwise-go/adwise/internal/gen"
 	"github.com/adwise-go/adwise/internal/graph"
 	"github.com/adwise-go/adwise/internal/hashx"
 	"github.com/adwise-go/adwise/internal/stream"
@@ -46,8 +47,8 @@ func writeBigEdgeFile(t *testing.T, path string, n int, numV uint64) {
 
 // TestSegmentedSpotlightMatchesMaterialised is the end-to-end check of the
 // segmented loading path: a >=1M-edge graph file partitioned by z=4
-// segment loaders (RunStrategySpotlightFile) must produce exactly the
-// assignment of the materialised RunSpotlight path — same edges, same
+// segment loaders (OpenFileStreams) must produce exactly the assignment of
+// the materialised ChunkStreams path — same edges, same
 // per-instance chunk semantics — while the segmented side never holds the
 // full edge slice (each instance streams its own byte range; peak edge
 // buffering is one batch per instance).
@@ -63,7 +64,7 @@ func TestSegmentedSpotlightMatchesMaterialised(t *testing.T) {
 	spec := Spec{K: 32, Seed: 9}
 
 	// Segmented: streams the file's byte ranges directly.
-	segmented, err := RunStrategySpotlightFile("hdrf", path, cfg, spec)
+	segmented, err := runFile("hdrf", path, cfg, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestSegmentedSpotlightMatchesMaterialised(t *testing.T) {
 	for i := range edges {
 		edges[i] = syntheticEdge(i, numV)
 	}
-	materialised, err := RunStrategySpotlight("hdrf", edges, cfg, spec)
+	materialised, err := runChunks(edges, cfg, cfg.Instances("hdrf", spec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,9 +107,9 @@ func TestSegmentedSpotlightMatchesMaterialised(t *testing.T) {
 
 // TestBinarySegmentedSpotlightMatchesMaterialised mirrors the 1M-edge text
 // equivalence test for the ADWB path: a binary graph file partitioned by
-// z=4 record-range loaders (RunStrategySpotlightFile, planned by header
-// arithmetic with no counting pass) must produce exactly the assignment of
-// the materialised RunStrategySpotlight path — PlanBinary deliberately
+// z=4 record-range loaders (OpenFileStreams, planned by header arithmetic
+// with no counting pass) must produce exactly the assignment of the
+// materialised ChunkStreams path — PlanBinary deliberately
 // reproduces the stream.Chunks size distribution, so the instances consume
 // identical chunks edge for edge.
 func TestBinarySegmentedSpotlightMatchesMaterialised(t *testing.T) {
@@ -135,11 +136,11 @@ func TestBinarySegmentedSpotlightMatchesMaterialised(t *testing.T) {
 	cfg := SpotlightConfig{K: 32, Z: 4, Spread: 8}
 	spec := Spec{K: 32, Seed: 9}
 
-	segmented, err := RunStrategySpotlightFile("hdrf", path, cfg, spec)
+	segmented, err := runFile("hdrf", path, cfg, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	materialised, err := RunStrategySpotlight("hdrf", edges, cfg, spec)
+	materialised, err := runChunks(edges, cfg, cfg.Instances("hdrf", spec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,17 +176,17 @@ func TestBinarySegmentedSpotlightMatchesMaterialised(t *testing.T) {
 
 func TestRunStrategySpotlightFileErrors(t *testing.T) {
 	cfg := SpotlightConfig{K: 4, Z: 2, Spread: 2}
-	if _, err := RunStrategySpotlightFile("hdrf", filepath.Join(t.TempDir(), "nope.txt"), cfg, Spec{K: 4}); err == nil {
+	if _, err := runFile("hdrf", filepath.Join(t.TempDir(), "nope.txt"), cfg, Spec{K: 4}); err == nil {
 		t.Error("missing file accepted")
 	}
 	bad := filepath.Join(t.TempDir(), "bad.txt")
 	if err := os.WriteFile(bad, []byte("0 1\n1 2\nbroken line here no\n2 3\n3 4\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunStrategySpotlightFile("hdrf", bad, cfg, Spec{K: 4}); err == nil {
+	if _, err := runFile("hdrf", bad, cfg, Spec{K: 4}); err == nil {
 		t.Error("malformed mid-file line did not fail the run")
 	}
-	if _, err := RunStrategySpotlightFile("nope", bad, cfg, Spec{K: 4}); err == nil {
+	if _, err := runFile("nope", bad, cfg, Spec{K: 4}); err == nil {
 		t.Error("unknown strategy accepted")
 	}
 }
@@ -197,7 +198,7 @@ func TestRunStrategySpotlightFileAdwise(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "mid.txt")
 	writeBigEdgeFile(t, path, n, 1<<10)
 	cfg := SpotlightConfig{K: 8, Z: 4, Spread: 2, Sequential: true}
-	a, err := RunStrategySpotlightFile("adwise", path, cfg, Spec{K: 8, Seed: 3, Window: 16})
+	a, err := runFile("adwise", path, cfg, Spec{K: 8, Seed: 3, Window: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,6 +220,73 @@ func TestRunStrategySpotlightFileAdwise(t *testing.T) {
 				t.Fatalf("edge %d of segment %d assigned to %d outside spread %v", idx, i, a.Parts[idx], cfg.SpreadFor(i))
 			}
 			idx++
+		}
+	}
+}
+
+// TestSingleInstanceSourcesMatchDirectRun pins the single-instance paths
+// the CLIs gave up for the one executor: for every registered strategy,
+// with no vertex budget and with a binding one, the file source at z = 1
+// through Instances writes the rows of New(name, spec).Run(stream.Open(path))
+// on a text and a binary file, and the in-memory source at z = 1 the rows
+// of Run(stream.FromEdges(edges)).
+func TestSingleInstanceSourcesMatchDirectRun(t *testing.T) {
+	g, err := gen.RMAT(12, 20_000, 0.57, 0.19, 0.19, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	paths := []string{filepath.Join(dir, "g.txt"), filepath.Join(dir, "g.bin")}
+	for _, p := range paths {
+		if err := graph.SaveFile(p, g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	direct := func(name string, spec Spec, s stream.Stream) string {
+		t.Helper()
+		st, err := New(name, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := st.Run(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return assignmentDigest(a)
+	}
+	cfg := SpotlightConfig{K: 8, Z: 1, Spread: 8}
+	for _, name := range Names() {
+		digests := map[int64]string{}
+		for _, budget := range []int64{0, 48 << 10} {
+			spec := Spec{K: 8, Seed: 42, Window: 64, VertexBudgetBytes: budget}
+			label := fmt.Sprintf("%s/budget=%d", name, budget)
+			a, err := runChunks(g.Edges, cfg, cfg.Instances(name, spec))
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			digests[budget] = assignmentDigest(a)
+			if want := direct(name, spec, stream.FromEdges(g.Edges)); digests[budget] != want {
+				t.Errorf("%s: in-memory source at z=1 differs from Run(FromEdges)", label)
+			}
+			for _, path := range paths {
+				fs, err := stream.Open(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := direct(name, spec, fs)
+				fs.Close()
+				a, err := runFile(name, path, cfg, spec)
+				if err != nil {
+					t.Fatalf("%s %s: %v", label, path, err)
+				}
+				if got := assignmentDigest(a); got != want {
+					t.Errorf("%s: file source at z=1 differs from Run(stream.Open) on %s", label, filepath.Base(path))
+				}
+			}
+		}
+		// The budget must bind, or its half of the table is not under test.
+		if (name == "adwise" || name == "hdrf") && digests[0] == digests[48<<10] {
+			t.Errorf("%s: a 48 KiB vertex budget does not change the assignment", name)
 		}
 	}
 }

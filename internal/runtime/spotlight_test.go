@@ -17,6 +17,35 @@ import (
 	"github.com/adwise-go/adwise/internal/stream"
 )
 
+// RunnerFunc adapts a function to the Runner interface.
+type RunnerFunc func(s stream.Stream) (*metrics.Assignment, error)
+
+// Run implements Runner.
+func (f RunnerFunc) Run(s stream.Stream) (*metrics.Assignment, error) { return f(s) }
+
+// runChunks runs the executor over the in-memory source: cfg.Z contiguous
+// chunks of edges, one per instance.
+func runChunks(edges []graph.Edge, cfg SpotlightConfig, build func(i int, allowed []int) (Runner, error)) (*metrics.Assignment, error) {
+	streams, err := ChunkStreams(edges, cfg.Z)
+	if err != nil {
+		return nil, err
+	}
+	a, _, err := RunSpotlightStreamsStats(streams, cfg, build)
+	return a, err
+}
+
+// runFile runs cfg.Z registry instances of the named strategy over the
+// file source, metered onto spec.Metrics.
+func runFile(name, path string, cfg SpotlightConfig, spec Spec) (*metrics.Assignment, error) {
+	streams, closeAll, err := OpenFileStreams(path, cfg.Z, spec.Metrics)
+	if err != nil {
+		return nil, err
+	}
+	defer closeAll()
+	a, _, err := RunSpotlightStreamsStats(streams, cfg, cfg.Instances(name, spec))
+	return a, err
+}
+
 func edgesN(n int) []graph.Edge {
 	out := make([]graph.Edge, n)
 	for i := range out {
@@ -48,7 +77,7 @@ func TestSpotlightConfigValidation(t *testing.T) {
 	g := clusteredGraph(t)
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := RunSpotlight(g.Edges, tc.cfg, func(i int, allowed []int) (Runner, error) {
+			_, err := runChunks(g.Edges, tc.cfg, func(i int, allowed []int) (Runner, error) {
 				return nil, errors.New("unreachable")
 			})
 			if err == nil {
@@ -134,7 +163,7 @@ func TestSpreadForWrapsAroundModuloK(t *testing.T) {
 func TestRunSpotlightAssignsEverything(t *testing.T) {
 	g := clusteredGraph(t)
 	cfg := SpotlightConfig{K: 16, Z: 4, Spread: 4}
-	a, err := RunSpotlight(g.Edges, cfg, func(i int, allowed []int) (Runner, error) {
+	a, err := runChunks(g.Edges, cfg, func(i int, allowed []int) (Runner, error) {
 		h, err := partition.NewHDRF(partition.Config{K: 16, Allowed: allowed, Seed: uint64(i)}, partition.HDRFDefaultLambda)
 		if err != nil {
 			return nil, err
@@ -156,7 +185,7 @@ func TestSpotlightRespectsSpreads(t *testing.T) {
 	g := clusteredGraph(t)
 	cfg := SpotlightConfig{K: 8, Z: 4, Spread: 2, Sequential: true}
 	instanceParts := make(map[int][]int)
-	a, err := RunSpotlight(g.Edges, cfg, func(i int, allowed []int) (Runner, error) {
+	a, err := runChunks(g.Edges, cfg, func(i int, allowed []int) (Runner, error) {
 		instanceParts[i] = allowed
 		return New("hash", Spec{K: 8, Allowed: allowed})
 	})
@@ -194,7 +223,7 @@ func TestSpotlightReducesReplicationForAllStrategies(t *testing.T) {
 	for _, name := range []string{"dbh", "hdrf", "adwise"} {
 		rf := func(spread int) float64 {
 			cfg := SpotlightConfig{K: 32, Z: 8, Spread: spread}
-			a, err := RunStrategySpotlight(name, edges, cfg, Spec{K: 32, Seed: 9, Window: 32})
+			a, err := runChunks(edges, cfg, cfg.Instances(name, Spec{K: 32, Seed: 9, Window: 32}))
 			if err != nil {
 				t.Fatalf("%s spread=%d: %v", name, spread, err)
 			}
@@ -211,7 +240,7 @@ func TestSpotlightBuilderErrorPropagates(t *testing.T) {
 	g := clusteredGraph(t)
 	cfg := SpotlightConfig{K: 4, Z: 2, Spread: 2}
 	wantErr := errors.New("boom")
-	_, err := RunSpotlight(g.Edges, cfg, func(i int, allowed []int) (Runner, error) {
+	_, err := runChunks(g.Edges, cfg, func(i int, allowed []int) (Runner, error) {
 		return nil, wantErr
 	})
 	if !errors.Is(err, wantErr) {
@@ -223,7 +252,7 @@ func TestSpotlightRunnerErrorPropagates(t *testing.T) {
 	g := clusteredGraph(t)
 	cfg := SpotlightConfig{K: 4, Z: 2, Spread: 2}
 	wantErr := errors.New("runner failed")
-	_, err := RunSpotlight(g.Edges, cfg, func(i int, allowed []int) (Runner, error) {
+	_, err := runChunks(g.Edges, cfg, func(i int, allowed []int) (Runner, error) {
 		if i == 1 {
 			return RunnerFunc(func(s stream.Stream) (*metrics.Assignment, error) {
 				return nil, wantErr
@@ -238,7 +267,7 @@ func TestSpotlightRunnerErrorPropagates(t *testing.T) {
 
 func TestSpotlightEmptyEdges(t *testing.T) {
 	cfg := SpotlightConfig{K: 4, Z: 2, Spread: 2}
-	if _, err := RunSpotlight(nil, cfg, func(i int, allowed []int) (Runner, error) {
+	if _, err := runChunks(nil, cfg, func(i int, allowed []int) (Runner, error) {
 		return nil, fmt.Errorf("unreachable")
 	}); err == nil {
 		t.Error("empty edges accepted")
@@ -248,10 +277,10 @@ func TestSpotlightEmptyEdges(t *testing.T) {
 func TestSpotlightFewerEdgesThanZ(t *testing.T) {
 	// stream.Chunks clamps z when len(edges) < z; silently building fewer
 	// runners than Z would leave some spreads' partitions unreachable with
-	// no signal. The executor must reject the degenerate case instead.
+	// no signal. ChunkStreams must reject the degenerate case instead.
 	cfg := SpotlightConfig{K: 8, Z: 4, Spread: 2}
 	edges := []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 3}}
-	_, err := RunSpotlight(edges, cfg, func(i int, allowed []int) (Runner, error) {
+	_, err := runChunks(edges, cfg, func(i int, allowed []int) (Runner, error) {
 		return New("hash", Spec{K: 8, Allowed: allowed})
 	})
 	if err == nil {
@@ -262,7 +291,7 @@ func TestSpotlightFewerEdgesThanZ(t *testing.T) {
 	}
 	// Exactly Z edges is the smallest legal input: one edge per instance.
 	edges = append(edges, graph.Edge{Src: 3, Dst: 4})
-	a, err := RunSpotlight(edges, cfg, func(i int, allowed []int) (Runner, error) {
+	a, err := runChunks(edges, cfg, func(i int, allowed []int) (Runner, error) {
 		return New("hash", Spec{K: 8, Allowed: allowed})
 	})
 	if err != nil {
@@ -276,7 +305,7 @@ func TestSpotlightFewerEdgesThanZ(t *testing.T) {
 func TestRunSpotlightStreamsCountMismatch(t *testing.T) {
 	cfg := SpotlightConfig{K: 4, Z: 2, Spread: 2}
 	streams := []stream.Stream{stream.FromEdges(edgesN(4))}
-	if _, err := RunSpotlightStreams(streams, cfg, func(i int, allowed []int) (Runner, error) {
+	if _, _, err := RunSpotlightStreamsStats(streams, cfg, func(i int, allowed []int) (Runner, error) {
 		return New("hash", Spec{K: 4, Allowed: allowed})
 	}); err == nil {
 		t.Error("1 stream accepted for Z=2 instances")
@@ -291,19 +320,11 @@ func TestRunSpotlightStreamsEnforcesStreamErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := SpotlightConfig{K: 2, Z: 2, Spread: 1, Sequential: true}
-	ranges, err := stream.Plan(path, cfg.Z)
+	streams, closeAll, err := OpenFileStreams(path, cfg.Z, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	streams := make([]stream.Stream, len(ranges))
-	for i, r := range ranges {
-		seg, err := stream.OpenSegment(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer seg.Close()
-		streams[i] = seg
-	}
+	defer closeAll()
 	careless := RunnerFunc(func(s stream.Stream) (*metrics.Assignment, error) {
 		a := metrics.NewAssignment(2, 4)
 		var buf [8]graph.Edge
@@ -317,7 +338,7 @@ func TestRunSpotlightStreamsEnforcesStreamErrors(t *testing.T) {
 			}
 		}
 	})
-	_, err = RunSpotlightStreams(streams, cfg, func(i int, allowed []int) (Runner, error) {
+	_, _, err = RunSpotlightStreamsStats(streams, cfg, func(i int, allowed []int) (Runner, error) {
 		return careless, nil
 	})
 	if err == nil {
@@ -330,11 +351,11 @@ func TestSpotlightSequentialMatchesParallel(t *testing.T) {
 	build := func(i int, allowed []int) (Runner, error) {
 		return New("hdrf", Spec{K: 8, Allowed: allowed, Seed: 5})
 	}
-	seq, err := RunSpotlight(g.Edges, SpotlightConfig{K: 8, Z: 4, Spread: 2, Sequential: true}, build)
+	seq, err := runChunks(g.Edges, SpotlightConfig{K: 8, Z: 4, Spread: 2, Sequential: true}, build)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunSpotlight(g.Edges, SpotlightConfig{K: 8, Z: 4, Spread: 2}, build)
+	par, err := runChunks(g.Edges, SpotlightConfig{K: 8, Z: 4, Spread: 2}, build)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,11 +379,11 @@ func TestSpotlightScoreWorkersInvariant(t *testing.T) {
 	cfg := SpotlightConfig{K: 8, Z: 2, Spread: 4, Sequential: true}
 	run := func(workers int) *metrics.Assignment {
 		t.Helper()
-		a, err := RunStrategySpotlight("adwise", g.Edges, cfg, Spec{
+		a, err := runChunks(g.Edges, cfg, cfg.Instances("adwise", Spec{
 			K:            8,
 			Window:       128,
 			ScoreWorkers: workers,
-		})
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -424,6 +445,26 @@ func TestSplitScoreWorkers(t *testing.T) {
 		}
 		if sum != tc.total {
 			t.Errorf("splitScoreWorkers(%d,%d) strands budget: shares sum to %d", tc.total, tc.z, sum)
+		}
+	}
+}
+
+// TestInstancesSplitScoreWorkers checks that Instances hands each
+// instance its share of an explicit scoring shard budget.
+func TestInstancesSplitScoreWorkers(t *testing.T) {
+	g := clusteredGraph(t)
+	cfg := SpotlightConfig{K: 6, Z: 3, Spread: 2}
+	streams, err := ChunkStreams(g.Edges, cfg.Z)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, stats, err := RunSpotlightStreamsStats(streams, cfg, cfg.Instances("adwise", Spec{Window: 16, ScoreWorkers: 8}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []int{3, 3, 2} {
+		if stats[i].ScoreWorkers != want {
+			t.Errorf("instance %d resolved %d score workers, want %d", i, stats[i].ScoreWorkers, want)
 		}
 	}
 }
