@@ -385,17 +385,26 @@ func PublishStrategyStats(reg *MetricRegistry, st StrategyStats) {
 // PartitionFileSpotlight partitions a graph file with Z registry-built
 // instances of the named strategy, each streaming a disjoint byte range of
 // the file: OpenFileStreams (metered onto spec.Metrics), cfg.Instances and
-// RunSpotlight. With streaming strategies the edge list is never
-// materialised, so the file may be far larger than memory; the all-edge
-// "ne" strategy still collects each instance's segment.
+// RunSpotlight. cfg is validated before the file is opened, and with a
+// non-nil spec.Metrics the run's AggregateStrategyStats are published
+// there. With streaming strategies the edge list is never materialised,
+// so the file may be far larger than memory; the all-edge "ne" strategy
+// still collects each instance's segment.
 func PartitionFileSpotlight(name, path string, cfg SpotlightConfig, spec StrategySpec) (*Assignment, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	streams, closeAll, err := OpenFileStreams(path, cfg.Z, spec.Metrics)
 	if err != nil {
 		return nil, err
 	}
 	defer closeAll()
-	a, _, err := RunSpotlight(streams, cfg, cfg.Instances(name, spec))
-	return a, err
+	a, stats, err := RunSpotlight(streams, cfg, cfg.Instances(name, spec))
+	if err != nil {
+		return nil, err
+	}
+	PublishStrategyStats(spec.Metrics, AggregateStrategyStats(stats))
+	return a, nil
 }
 
 // AsRunner adapts a single-edge partitioner to a spotlight Runner.

@@ -98,15 +98,18 @@ func loadAssignment(o options) (*adwise.Assignment, error) {
 	if o.assignment != "" {
 		return adwise.LoadAssignment(o.assignment)
 	}
-	g, err := adwise.LoadGraph(o.in)
-	if err != nil {
-		return nil, err
-	}
 	spread := o.spread
 	if spread == 0 {
 		spread = o.k / o.z
 	}
 	cfg := adwise.SpotlightConfig{K: o.k, Z: o.z, Spread: spread}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	g, err := adwise.LoadGraph(o.in)
+	if err != nil {
+		return nil, err
+	}
 	streams, err := adwise.ChunkStreams(g.Edges, o.z)
 	if err != nil {
 		return nil, err

@@ -125,17 +125,6 @@ func partitionInput(in, algo string, k, z, spread int, seed uint64, latency time
 	if spread == 0 {
 		spread = k / z
 	}
-	cfg := adwise.SpotlightConfig{K: k, Z: z, Spread: spread}
-	streams, closeAll, err := adwise.OpenFileStreams(in, z, reg)
-	if err != nil {
-		return nil, err
-	}
-	defer closeAll()
 	fmt.Printf("streaming %s: z=%d segment loaders, spread=%d\n", in, z, spread)
-	a, stats, err := adwise.RunSpotlight(streams, cfg, cfg.Instances(algo, spec))
-	if err != nil {
-		return nil, err
-	}
-	adwise.PublishStrategyStats(reg, adwise.AggregateStrategyStats(stats))
-	return a, nil
+	return adwise.PartitionFileSpotlight(algo, in, adwise.SpotlightConfig{K: k, Z: z, Spread: spread}, spec)
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	adwise "github.com/adwise-go/adwise"
@@ -159,6 +160,17 @@ func TestRunErrors(t *testing.T) {
 	for _, args := range tests {
 		if err := run(args); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)
+		}
+	}
+	// A spotlight config the executor would reject fails before the input
+	// is planned: on a missing file the error is the config's, not the
+	// open's.
+	for _, args := range [][]string{
+		{"-in", "/nonexistent.txt", "-k", "32", "-z", "3"},
+		{"-in", "/nonexistent.txt", "-k", "4", "-spread", "2"},
+	} {
+		if err := run(args); err == nil || strings.Contains(err.Error(), "nonexistent") {
+			t.Errorf("run(%v) = %v, want the config error before the input is opened", args, err)
 		}
 	}
 }

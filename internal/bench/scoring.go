@@ -172,7 +172,9 @@ func scoringSkew(cfg Config, tab *Table) error {
 	// run executes one skew cell. workers is the per-instance logical
 	// shard count: more than one submits to the shared pool, one scores
 	// inline. Instances splits the run-level budget of workers·z back
-	// into workers per instance.
+	// into workers per instance (scfg is not Sequential, which would hand
+	// every instance the whole budget); the check below fails the cell
+	// if the split ever drifts from that.
 	run := func(workers int) (*metrics.Assignment, runtime.Stats, time.Duration, error) {
 		start := clk.Now()
 		spec := runtime.Spec{Seed: cfg.Seed, Window: scoringSkewWindow, ScoreWorkers: workers * z}
@@ -180,7 +182,13 @@ func scoringSkew(cfg Config, tab *Table) error {
 		if err != nil {
 			return nil, runtime.Stats{}, 0, err
 		}
-		return a, runtime.AggregateStats(stats), clk.Now().Sub(start), nil
+		lat := clk.Now().Sub(start)
+		for i, st := range stats {
+			if st.ScoreWorkers != workers {
+				return nil, runtime.Stats{}, 0, fmt.Errorf("bench: skew instance %d scored with %d workers, want %d", i, st.ScoreWorkers, workers)
+			}
+		}
+		return a, runtime.AggregateStats(stats), lat, nil
 	}
 
 	serial, _, serialLat, err := run(1)

@@ -33,7 +33,11 @@ type SpotlightConfig struct {
 	Sequential bool
 }
 
-func (c SpotlightConfig) validate() error {
+// Validate reports whether c describes a runnable spotlight: K and Z at
+// least 1, Z dividing K, and Spread in [K/Z, K]. The executor checks it
+// first; a caller that opens its streams at a cost (OpenFileStreams makes
+// a counting pass over a text file) checks it before opening them.
+func (c SpotlightConfig) Validate() error {
 	if c.K < 1 {
 		return fmt.Errorf("runtime: spotlight K must be >= 1, got %d", c.K)
 	}
@@ -79,7 +83,7 @@ func (c SpotlightConfig) SpreadFor(i int) []int {
 // pool worker executed them — so summing stats across instances
 // (AggregateStats) neither double-counts nor loses pool-executed work.
 func RunSpotlightStreamsStats(streams []stream.Stream, cfg SpotlightConfig, build func(i int, allowed []int) (Runner, error)) (*metrics.Assignment, []Stats, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
 	if len(streams) != cfg.Z {
@@ -126,14 +130,20 @@ func RunSpotlightStreamsStats(streams []stream.Stream, cfg SpotlightConfig, buil
 		}
 	}
 
-	total := 0
-	for _, res := range results {
-		total += res.Len()
-	}
-	merged := metrics.NewAssignment(cfg.K, total)
-	for _, res := range results {
-		if err := merged.Merge(res); err != nil {
-			return nil, nil, err
+	// A single instance's assignment is already the run's and is returned
+	// as is: a merged copy would hold two O(m) assignments at the peak.
+	// Only a K mismatch sends it through Merge, which rejects it.
+	merged := results[0]
+	if cfg.Z > 1 || merged.K != cfg.K {
+		total := 0
+		for _, res := range results {
+			total += res.Len()
+		}
+		merged = metrics.NewAssignment(cfg.K, total)
+		for _, res := range results {
+			if err := merged.Merge(res); err != nil {
+				return nil, nil, err
+			}
 		}
 	}
 	stats := make([]Stats, cfg.Z)

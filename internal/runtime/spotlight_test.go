@@ -312,6 +312,28 @@ func TestRunSpotlightStreamsCountMismatch(t *testing.T) {
 	}
 }
 
+// TestSpotlightSingleInstanceReturnsItsAssignment pins that at Z = 1 the
+// executor hands back the instance's assignment itself, not a merged copy
+// of it, and that a K mismatch still fails there.
+func TestSpotlightSingleInstanceReturnsItsAssignment(t *testing.T) {
+	streams := []stream.Stream{stream.FromEdges(edgesN(4))}
+	own := metrics.NewAssignment(4, 0)
+	a, _, err := RunSpotlightStreamsStats(streams, SpotlightConfig{K: 4, Z: 1, Spread: 4}, func(i int, allowed []int) (Runner, error) {
+		return RunnerFunc(func(s stream.Stream) (*metrics.Assignment, error) { return own, nil }), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a != own {
+		t.Error("Z=1 returned a copy of the instance's assignment")
+	}
+	if _, _, err := RunSpotlightStreamsStats(streams, SpotlightConfig{K: 2, Z: 1, Spread: 2}, func(i int, allowed []int) (Runner, error) {
+		return RunnerFunc(func(s stream.Stream) (*metrics.Assignment, error) { return own, nil }), nil
+	}); err == nil {
+		t.Error("Z=1 accepted an instance assignment with k=4 for K=2")
+	}
+}
+
 func TestRunSpotlightStreamsEnforcesStreamErrors(t *testing.T) {
 	// Even a Runner that ignores the stream error contract must not turn a
 	// failing stream into a short success: the executor checks stream.Err.
