@@ -186,9 +186,25 @@ func runGoldenCell(t *testing.T, c goldenCell, edges []graph.Edge) (string, RunS
 	}
 	sum := metrics.Summarize(a)
 	st := ad.Stats()
-	line := fmt.Sprintf("%s %s rf=%s maxload=%d scoreops=%d", c.name(), assignmentDigest(a),
-		strconv.FormatFloat(sum.ReplicationDegree, 'g', -1, 64), sum.MaxSize, st.ScoreComputations)
+	line := fmt.Sprintf("%s %s rf=%s maxload=%d scoreops=%d %s", c.name(), assignmentDigest(a),
+		strconv.FormatFloat(sum.ReplicationDegree, 'g', -1, 64), sum.MaxSize, st.ScoreComputations, ledgerColumns(st))
 	return line, st
+}
+
+// ledgerColumns renders the run's work ledger as the golden line's tail:
+// the score ops of each phase, the outcome of the lazy selections, the
+// clustering evaluations of each producer, the count engagements and the
+// lazy-traversal set moves. A change in the work a run does then fails
+// the cell exactly, even when the assignment is unchanged.
+func ledgerColumns(st RunStats) string {
+	p := st.PhaseScoreOps
+	return fmt.Sprintf("refill=%d leader=%d rescore=%d rescan=%d reassess=%d popfresh=%d "+
+		"selections=%d firsttry=%d retries=%d fallbacks=%d walkevals=%d countevals=%d engagements=%d "+
+		"promotions=%d demotions=%d reassessments=%d rescans=%d",
+		p.Refill, p.Leader, p.Rescore, p.Rescan, p.Reassess, p.PopFresh,
+		st.LazySelections, st.LazyFirstTryHits, st.LazyRetries, st.LazyFallbacks,
+		st.ClusterWalkEvals, st.ClusterCountEvals, st.CountEngagements,
+		st.Promotions, st.Demotions, st.Reassessments, st.SecondaryRescans)
 }
 
 // checkLedger verifies the run's work ledger adds up: the score ops of
@@ -218,8 +234,8 @@ func checkLedger(t *testing.T, name string, st RunStats, clustering bool) {
 
 // TestGoldenAssignmentDigests is the cross-build behaviour anchor: every
 // cell of the matrix must reproduce the committed digest of its assignment
-// sequence, its replication factor, its largest partition and its score
-// op count exactly. The in-build equivalence tests compare two live paths
+// sequence, its replication factor, its largest partition, its score op
+// count and its work ledger (ledgerColumns) exactly. The in-build equivalence tests compare two live paths
 // of one build; this file pins what both paths produced when it was
 // recorded, so a change that moves every path at once still shows. Run
 // with -update to re-record after an intended behaviour change.
