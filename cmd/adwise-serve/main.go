@@ -10,8 +10,10 @@
 // With -assignment the service loads a precomputed assignment TSV (from
 // adwise -out) and POST /v1/reload re-reads it, swapping the rebuilt index
 // in without dropping in-flight lookups. With -in the named registry
-// strategy partitions the graph first (optionally under spotlight with
-// -z/-spread) and the service serves the result.
+// strategy partitions the graph first, exactly as adwise does with the
+// same flags: z instances (one by default) under the spotlight spread,
+// each streaming a disjoint byte range of the file, so the edge list is
+// never held in memory. The service serves the result.
 //
 // API: GET /v1/edge?src=S&dst=D, GET /v1/vertex?v=V, POST /v1/edges
 // (batch), GET /v1/stats, GET /healthz.
@@ -103,20 +105,8 @@ func loadAssignment(o options) (*adwise.Assignment, error) {
 		spread = o.k / o.z
 	}
 	cfg := adwise.SpotlightConfig{K: o.k, Z: o.z, Spread: spread}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	g, err := adwise.LoadGraph(o.in)
-	if err != nil {
-		return nil, err
-	}
-	streams, err := adwise.ChunkStreams(g.Edges, o.z)
-	if err != nil {
-		return nil, err
-	}
 	spec := adwise.StrategySpec{K: o.k, Seed: o.seed, Latency: o.latency, Window: o.window}
-	a, _, err := adwise.RunSpotlight(streams, cfg, cfg.Instances(o.algo, spec))
-	return a, err
+	return adwise.PartitionFileSpotlight(o.algo, o.in, cfg, spec)
 }
 
 // newHandler wraps the instrumented lookup API (request counters, latency

@@ -3,10 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -191,6 +193,60 @@ func TestServeFromGraph(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode == http.StatusOK {
 		t.Error("reload endpoint exposed without -assignment")
+	}
+}
+
+// TestServeFromFileMatchesAdwise holds -in to the path adwise takes: for
+// the same flags, the assignment loadAssignment returns saves to the same
+// bytes as PartitionFileSpotlight with the spec adwise builds, on a text
+// and a binary file at every z.
+func TestServeFromFileMatchesAdwise(t *testing.T) {
+	g, err := adwise.Community(8, 8, 0.9, 40, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	saved := func(a *adwise.Assignment) []byte {
+		t.Helper()
+		out := filepath.Join(dir, "parts.tsv")
+		if err := adwise.SaveAssignment(out, a); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	for _, file := range []string{"g.txt", "g.bin"} {
+		path := filepath.Join(dir, file)
+		if err := adwise.SaveGraph(path, g); err != nil {
+			t.Fatal(err)
+		}
+		for _, z := range []int{1, 2, 4} {
+			for _, c := range []struct {
+				algo   string
+				window int
+			}{{"hdrf", 0}, {"adwise", 64}} {
+				name := fmt.Sprintf("%s/z=%d/%s", file, z, c.algo)
+				o, err := parseArgs([]string{"-in", path, "-k", "8", "-z", strconv.Itoa(z), "-algo", c.algo, "-window", strconv.Itoa(c.window)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				served, err := loadAssignment(o)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				spec := adwise.StrategySpec{K: 8, Seed: 42, Window: c.window}
+				want, err := adwise.PartitionFileSpotlight(c.algo, path, adwise.SpotlightConfig{K: 8, Z: z, Spread: 8 / z}, spec)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if !bytes.Equal(saved(served), saved(want)) {
+					t.Errorf("%s: the served assignment differs from the one adwise writes", name)
+				}
+			}
+		}
 	}
 }
 
