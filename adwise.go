@@ -385,14 +385,19 @@ func PublishStrategyStats(reg *MetricRegistry, st StrategyStats) {
 // PartitionFileSpotlight partitions a graph file with Z registry-built
 // instances of the named strategy, each streaming a disjoint byte range of
 // the file: OpenFileStreams (metered onto spec.Metrics), cfg.Instances and
-// RunSpotlight. cfg is validated before the file is opened, and with a
-// non-nil spec.Metrics the run's AggregateStrategyStats are published
-// there. With streaming strategies the edge list is never materialised,
+// RunSpotlight. cfg and the strategy name are validated before the file
+// is opened, and with a non-nil spec.Metrics the run's
+// AggregateStrategyStats are published there. With streaming strategies the edge list is never materialised,
 // so the file may be far larger than memory; the all-edge "ne" strategy
 // still collects each instance's segment.
 func PartitionFileSpotlight(name, path string, cfg SpotlightConfig, spec StrategySpec) (*Assignment, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
+	}
+	// Planning a text file is a full counting pass: a name the registry
+	// lacks fails before it.
+	if _, ok := runtime.MetaOf(name); !ok {
+		return nil, fmt.Errorf("adwise: unknown strategy %q (have %v)", name, runtime.Names())
 	}
 	streams, closeAll, err := OpenFileStreams(path, cfg.Z, spec.Metrics)
 	if err != nil {

@@ -273,15 +273,23 @@ func TestRunErrors(t *testing.T) {
 			t.Errorf("run(%v) succeeded, want error", args)
 		}
 	}
-	// A spotlight config the executor would reject fails before the graph
-	// is loaded: on a missing file the error is the config's, not the
+	// A spotlight config the executor would reject fails before the file
+	// is planned: on a missing file the error is the config's, not the
 	// open's.
 	for _, args := range [][]string{
 		{"-in", "/nonexistent.txt", "-k", "32", "-z", "3"},
 		{"-in", "/nonexistent.txt", "-k", "4", "-spread", "2"},
 	} {
 		if err := run(args); err == nil || strings.Contains(err.Error(), "nonexistent") {
-			t.Errorf("run(%v) = %v, want the config error before the graph is loaded", args, err)
+			t.Errorf("run(%v) = %v, want the config error before the file is planned", args, err)
+		}
+	}
+	// So does a strategy the registry lacks: the error names it, not the
+	// missing file.
+	for _, z := range []string{"1", "2"} {
+		args := []string{"-in", "/nonexistent.txt", "-k", "4", "-z", z, "-algo", "bogus"}
+		if err := run(args); err == nil || !strings.Contains(err.Error(), "bogus") || strings.Contains(err.Error(), "nonexistent") {
+			t.Errorf("run(%v) = %v, want the unknown strategy before the file is planned", args, err)
 		}
 	}
 }

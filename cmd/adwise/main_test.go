@@ -173,6 +173,14 @@ func TestRunErrors(t *testing.T) {
 			t.Errorf("run(%v) = %v, want the config error before the input is opened", args, err)
 		}
 	}
+	// So does a strategy the registry lacks: the error names it, not the
+	// missing file.
+	for _, z := range []string{"1", "2"} {
+		args := []string{"-in", "/nonexistent.txt", "-k", "4", "-z", z, "-algo", "bogus"}
+		if err := run(args); err == nil || !strings.Contains(err.Error(), "bogus") || strings.Contains(err.Error(), "nonexistent") {
+			t.Errorf("run(%v) = %v, want the unknown strategy before the input is opened", args, err)
+		}
+	}
 }
 
 // TestRunMetricsOutPublishesRunStats checks that the final -metrics-out
