@@ -105,11 +105,6 @@ var (
 	WithEpsilon = core.WithEpsilon
 	// WithMaxCandidates bounds the lazy-traversal candidate set.
 	WithMaxCandidates = core.WithMaxCandidates
-	// WithScoreWorkers splits window scoring into n logical shards,
-	// executed on the process-wide work-stealing pool (0 = auto:
-	// GOMAXPROCS). Any shard count produces edge-for-edge identical
-	// assignments.
-	WithScoreWorkers = core.WithScoreWorkers
 	// WithVertexBudget caps the byte footprint of the vertex state; when
 	// the table would outgrow the budget, low-partial-degree vertices are
 	// evicted HEP-style instead (0 = unbounded, the default).

@@ -8,7 +8,7 @@
 //	adwise-bench -exp fig7a -scale 0.2 -v
 //	adwise-bench -exp all -scale 0.1 > results.txt
 //	adwise-bench -exp ingest -json > BENCH_ingest.json
-//	adwise-bench -exp scoring -score-workers 8 -cpuprofile scoring.pprof
+//	adwise-bench -exp memory -scale 0.02 -cpuprofile memory.pprof
 package main
 
 import (
@@ -31,19 +31,16 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("adwise-bench", flag.ContinueOnError)
 	var (
-		exp      = fs.String("exp", "list", `experiment id, "all", or "list"`)
-		scale    = fs.Float64("scale", 0.1, "graph scale factor (1.0 = default evaluation size)")
-		seed     = fs.Uint64("seed", 42, "experiment seed")
-		k        = fs.Int("k", 32, "partitions")
-		z        = fs.Int("z", 8, "parallel partitioner instances")
-		spread   = fs.Int("spread", 4, "spotlight spread (partitions per instance)")
-		verbose  = fs.Bool("v", false, "print progress lines to stderr")
-		jsonOut  = fs.Bool("json", false, "emit results as JSON instead of aligned text tables")
-		profile  = fs.String("cpuprofile", "", "write a CPU profile of the experiment run to this file")
-		workers  = fs.Int("score-workers", 0, "window-scoring shards per ADWISE instance on the shared work-stealing pool (0 = auto: GOMAXPROCS; pins the scoring-experiment sweep)")
-		budget   = fs.String("vcache-budget", "", "pin the memory experiment to one vertex-state byte budget, e.g. 64MiB (empty = sweep {inf, 1/2, 1/4, 1/8} of the unbounded peak)")
-		regress  = fs.String("regress-baseline", "", "benchmark trajectory file (e.g. BENCH_scoring.json): after a scoring run, fail if per-cell speedups regressed vs the last ci-baseline record")
-		regressT = fs.Float64("regress-tol", 0.20, "allowed fractional speedup loss before -regress-baseline fails the run")
+		exp     = fs.String("exp", "list", `experiment id, "all", or "list"`)
+		scale   = fs.Float64("scale", 0.1, "graph scale factor (1.0 = default evaluation size)")
+		seed    = fs.Uint64("seed", 42, "experiment seed")
+		k       = fs.Int("k", 32, "partitions")
+		z       = fs.Int("z", 8, "parallel partitioner instances")
+		spread  = fs.Int("spread", 4, "spotlight spread (partitions per instance)")
+		verbose = fs.Bool("v", false, "print progress lines to stderr")
+		jsonOut = fs.Bool("json", false, "emit results as JSON instead of aligned text tables")
+		profile = fs.String("cpuprofile", "", "write a CPU profile of the experiment run to this file")
+		budget  = fs.String("vcache-budget", "", "pin the memory experiment to one vertex-state byte budget, e.g. 64MiB (empty = sweep {inf, 1/2, 1/4, 1/8} of the unbounded peak)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -66,7 +63,6 @@ func run(args []string, stdout io.Writer) error {
 	cfg.K = *k
 	cfg.Z = *z
 	cfg.Spread = *spread
-	cfg.ScoreWorkers = *workers
 	if b, err := adwise.ParseByteSize(*budget); err != nil {
 		return fmt.Errorf("invalid -vcache-budget: %w", err)
 	} else {
@@ -98,18 +94,8 @@ func run(args []string, stdout io.Writer) error {
 			return err
 		}
 		if *jsonOut {
-			if err := t.WriteJSON(stdout); err != nil {
-				return err
-			}
-		} else if err := t.Fprint(stdout); err != nil {
-			return err
+			return t.WriteJSON(stdout)
 		}
-		if *regress != "" {
-			if err := adwise.CheckScoringRegression(t, *regress, *regressT); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "adwise-bench: no regression vs %s (tol %.0f%%)\n", *regress, *regressT*100)
-		}
-		return nil
+		return t.Fprint(stdout)
 	}
 }

@@ -7,7 +7,7 @@
 //	adwise -in graph.txt -k 32 -algo adwise -latency 5s
 //	adwise -in graph.txt -k 32 -algo hdrf -out assignment.tsv
 //	adwise -in graph.txt -k 32 -z 8 -spread 4 -algo adwise -latency 5s
-//	adwise -in graph.txt -k 32 -algo adwise -window 4096 -score-workers 8
+//	adwise -in graph.txt -k 32 -algo adwise -window 4096
 //
 // The input is partitioned by z parallel instances (one by default) under
 // the spotlight optimization with the given spread, each streaming a
@@ -43,7 +43,6 @@ func run(args []string) error {
 		algo       = fs.String("algo", "adwise", "strategy: "+strings.Join(adwise.StrategyNames(), ", "))
 		latency    = fs.Duration("latency", 0, "ADWISE latency preference L (0 = single-edge behaviour)")
 		window     = fs.Int("window", 0, "ADWISE fixed window size (overrides -latency adaptation)")
-		workers    = fs.Int("score-workers", 0, "ADWISE window-scoring shard budget (0 = auto: GOMAXPROCS shards per instance on the shared work-stealing pool; explicit values are distributed across the -z instances)")
 		budgetStr  = fs.String("vcache-budget", "", "vertex-state byte budget, e.g. 64MiB or 1.5g (empty = unbounded); when exceeded, low-degree vertices are evicted HEP-style; divided across the -z instances")
 		z          = fs.Int("z", 1, "parallel partitioner instances")
 		spread     = fs.Int("spread", 0, "partitions per instance (default k/z)")
@@ -65,9 +64,9 @@ func run(args []string) error {
 		return fmt.Errorf("-z must be >= 1")
 	}
 
-	// With -metrics-out the run is instrumented: pool pass/steal counters
-	// and ingest progress tick live while the pass runs, sampled to the
-	// file once per second; Stop guarantees a final cumulative snapshot.
+	// With -metrics-out the run is instrumented: ingest progress ticks live
+	// while the pass runs, sampled to the file once per second; Stop
+	// guarantees a final cumulative snapshot with the run's stats.
 	var reg *adwise.MetricRegistry
 	if *metricsOut != "" {
 		f, err := os.Create(*metricsOut)
@@ -87,7 +86,7 @@ func run(args []string) error {
 	}
 
 	start := time.Now()
-	a, err := partitionInput(*in, *algo, *k, *z, *spread, *seed, *latency, *window, *workers, budget, reg)
+	a, err := partitionInput(*in, *algo, *k, *z, *spread, *seed, *latency, *window, budget, reg)
 	if err != nil {
 		return err
 	}
@@ -120,8 +119,8 @@ func run(args []string) error {
 // partitionInput runs z registry instances of algo over z disjoint byte
 // ranges of the input (one range covering the whole file at z = 1) and
 // publishes the run's aggregate stats onto reg.
-func partitionInput(in, algo string, k, z, spread int, seed uint64, latency time.Duration, window, workers int, budget int64, reg *adwise.MetricRegistry) (*adwise.Assignment, error) {
-	spec := adwise.StrategySpec{K: k, Seed: seed, Latency: latency, Window: window, ScoreWorkers: workers, VertexBudgetBytes: budget, Metrics: reg}
+func partitionInput(in, algo string, k, z, spread int, seed uint64, latency time.Duration, window int, budget int64, reg *adwise.MetricRegistry) (*adwise.Assignment, error) {
+	spec := adwise.StrategySpec{K: k, Seed: seed, Latency: latency, Window: window, VertexBudgetBytes: budget, Metrics: reg}
 	if spread == 0 {
 		spread = k / z
 	}

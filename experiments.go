@@ -39,11 +39,3 @@ func RunAllExperiments(cfg ExperimentConfig, w io.Writer) error {
 func RunAllExperimentsJSON(cfg ExperimentConfig, w io.Writer) error {
 	return bench.RunAllJSON(cfg, w)
 }
-
-// CheckScoringRegression compares a freshly measured Scoring table against
-// the committed benchmark trajectory (BENCH_scoring.json): per-cell
-// speedups may not drop more than tol (0.2 = 20%) below the last
-// "ci-baseline" run. Behind adwise-bench -regress-baseline.
-func CheckScoringRegression(current *ExperimentTable, baselinePath string, tol float64) error {
-	return bench.CheckScoringRegression(current, baselinePath, tol)
-}

@@ -55,12 +55,6 @@ type Config struct {
 	Cost engine.CostModel
 	// Workers bounds engine parallelism (0 = GOMAXPROCS).
 	Workers int
-	// ScoreWorkers pins the window-scoring worker count of window-class
-	// strategies in every experiment (0 = auto: divided among the Z
-	// instances). The scoring experiment sweeps worker counts unless this
-	// pins one — the -cpuprofile + -score-workers combination that
-	// validates where the scoring loop saturates.
-	ScoreWorkers int
 	// VertexBudgetBytes pins the memory experiment to a single explicit
 	// vertex-state budget instead of its default {∞, ½, ¼, ⅛ of unbounded
 	// peak} sweep (0 = sweep). Other experiments run unbounded regardless —

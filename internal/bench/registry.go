@@ -38,7 +38,6 @@ func Experiments() []Experiment {
 		{"ablation-window", "DESIGN §5.4", AblationWindow},
 		{"ablation-order", "DESIGN §3", AblationOrder},
 		{"ingest", "§III-D loading", Ingest},
-		{"scoring", "§III-B scoring", Scoring},
 		{"serve", "§II serving", Serve},
 		{"memory", "HEP memory envelope", Memory},
 	}

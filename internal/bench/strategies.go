@@ -56,9 +56,6 @@ func (c Config) runStrategy(name string, edges []graph.Edge, spec runtime.Spec) 
 	if spec.Seed == 0 {
 		spec.Seed = c.Seed
 	}
-	if spec.ScoreWorkers == 0 {
-		spec.ScoreWorkers = c.ScoreWorkers
-	}
 	scfg := c.spotlightConfig()
 	clk := c.clock()
 	start := clk.Now()

@@ -2,13 +2,11 @@ package core
 
 import (
 	"fmt"
-	gort "runtime"
 	"time"
 
 	"github.com/adwise-go/adwise/internal/clock"
 	"github.com/adwise-go/adwise/internal/metric"
 	"github.com/adwise-go/adwise/internal/metrics"
-	"github.com/adwise-go/adwise/internal/scorepool"
 	"github.com/adwise-go/adwise/internal/stream"
 	"github.com/adwise-go/adwise/internal/vcache"
 )
@@ -42,7 +40,6 @@ type config struct {
 	maxCandidates int
 	lazy          bool             // lazy window traversal; eager rescans everything (ablation)
 	totalEdges    int64            // m hint when the stream cannot report it
-	scoreWorkers  int              // window-scoring logical shards; 0 = auto (GOMAXPROCS)
 	vertexBudget  int64            // vertex-state byte budget; 0 = unbounded cache
 	metrics       *metric.Registry // nil → no telemetry published
 }
@@ -136,20 +133,6 @@ func WithTotalEdgesHint(m int64) Option {
 	return func(c *config) { c.totalEdges = m }
 }
 
-// WithScoreWorkers sets the number of logical shards window scoring
-// passes (candidate rescores, secondary rescans, cached-score scans) are
-// split into. 0 (the default) resolves to GOMAXPROCS at construction;
-// 1 forces fully serial scoring. More than one shard executes on the
-// process-wide work-stealing pool (scorepool.Shared), so under parallel
-// loading the machine's cores flow to whichever instance has work — there
-// is no need to divide cores among instances. Any shard count produces
-// edge-for-edge identical assignments — sharding uses fixed boundaries
-// and a deterministic shard-order reduction — so the knob trades only
-// wall-clock for cores.
-func WithScoreWorkers(n int) Option {
-	return func(c *config) { c.scoreWorkers = n }
-}
-
 // WithVertexBudget caps the byte footprint of the vertex state. The
 // default (0, or negative) leaves the cache unbounded, so its memory grows
 // with the number of distinct vertices. Under a positive budget the cache
@@ -165,7 +148,9 @@ func WithVertexBudget(bytes int64) Option {
 
 // Adwise is the ADWISE streaming partitioner. An instance carries the
 // vertex cache accumulated over one stream pass; create a fresh instance
-// per Run.
+// per Run. Run scores the window on the caller's goroutine: parallel
+// loading runs z instances side by side (internal/runtime), not one
+// instance on several cores.
 type Adwise struct {
 	cfg    config
 	parts  []int
@@ -196,25 +181,6 @@ type RunStats struct {
 	MeanAssignScore float64
 	// Lazy-traversal counters.
 	Promotions, Demotions, Reassessments, SecondaryRescans int64
-	// ScoreWorkers is the resolved logical scoring shard count (≥ 1).
-	ScoreWorkers int
-	// ParallelScorePasses counts scoring passes that actually ran sharded
-	// on the scoring pool (small passes run inline on the caller).
-	ParallelScorePasses int64
-	// StolenScoreShards counts shards of this instance's pool passes that
-	// were executed by pool workers rather than the instance's own
-	// goroutine — the work-stealing flex that lets a dense-segment
-	// instance borrow idle cores under parallel loading.
-	StolenScoreShards int64
-	// PeakPassHelpers is the largest number of distinct pool workers that
-	// served a single one of this instance's passes.
-	PeakPassHelpers int
-	// WorkerScoreOps is the per-logical-shard share of ScoreComputations
-	// done on pool passes (index = shard id; shard 0 also runs the inline
-	// passes). Shard scratches are owned by this instance, so the counters
-	// attribute ops to the instance even when a shared pool executed them.
-	// Serial one-edge rescores are accounted to ScoreComputations only.
-	WorkerScoreOps []int64
 	// RefillPasses and BatchedAdds are always zero: the window refills one
 	// edge at a time, so there are no batched refill passes to count.
 	//
@@ -320,9 +286,6 @@ func New(k int, opts ...Option) (*Adwise, error) {
 	if cfg.lambdaMin > cfg.lambdaMax {
 		return nil, fmt.Errorf("core: lambda bounds inverted [%v,%v]", cfg.lambdaMin, cfg.lambdaMax)
 	}
-	if cfg.scoreWorkers < 0 {
-		return nil, fmt.Errorf("core: score workers must be >= 0 (0 = auto), got %d", cfg.scoreWorkers)
-	}
 	parts := cfg.allowed
 	if len(parts) == 0 {
 		parts = make([]int, k)
@@ -337,25 +300,12 @@ func New(k int, opts ...Option) (*Adwise, error) {
 		// Eager traversal: every edge is a candidate, re-scored each pop.
 		maxCand = int(^uint(0) >> 1)
 	}
-	shards := cfg.scoreWorkers
-	if shards == 0 {
-		shards = gort.GOMAXPROCS(0)
-	}
-	var execPool *scorepool.Pool
-	if shards > 1 {
-		execPool = scorepool.Shared()
-	}
-	pool := newScorePool(execPool, shards, len(parts))
-	if cfg.metrics != nil {
-		pool.mPasses = cfg.metrics.Counter(MetricPoolPasses)
-		pool.mStolen = cfg.metrics.Counter(MetricStolenShards)
-	}
 	return &Adwise{
 		cfg:    cfg,
 		parts:  parts,
 		cache:  cache,
 		scorer: sc,
-		win:    newWindow(sc, pool, cfg.epsilon, maxCand, !cfg.lazy),
+		win:    newWindow(sc, cfg.epsilon, maxCand, !cfg.lazy),
 	}, nil
 }
 
@@ -501,13 +451,8 @@ func (a *Adwise) Run(s stream.Stream) (*metrics.Assignment, error) {
 
 	a.stats.FinalWindow = w
 	a.stats.PartitioningLatency = a.cfg.clk.Now().Sub(start)
-	a.stats.ScoreComputations = a.scorer.prime.scoreOps + a.win.pool.totalOps()
+	a.stats.ScoreComputations = a.scorer.scratch.scoreOps
 	a.stats.FinalLambda = a.scorer.lambda
-	a.stats.ScoreWorkers = a.win.pool.n
-	a.stats.ParallelScorePasses = a.win.pool.passes
-	a.stats.StolenScoreShards = a.win.pool.stolen
-	a.stats.PeakPassHelpers = a.win.pool.helpersPeak
-	a.stats.WorkerScoreOps = a.win.pool.workerOps()
 	if a.stats.Assignments > 0 {
 		a.stats.MeanAssignScore = totalScoreSum / float64(a.stats.Assignments)
 	}

@@ -67,7 +67,7 @@ func FuzzWindowOps(f *testing.F) {
 		if eager {
 			maxCand = int(^uint(0) >> 1)
 		}
-		w := newWindow(sc, newScorePool(nil, 1, len(parts)), DefaultEpsilon, maxCand, eager)
+		w := newWindow(sc, DefaultEpsilon, maxCand, eager)
 		chk := newScoreScratch(len(parts))
 
 		added := make(map[graph.Edge]int)
@@ -152,9 +152,9 @@ func FuzzWindowOps(f *testing.F) {
 // edge list, runs it, and checks the run-level contracts: every input
 // edge is assigned exactly once (as a multiset) into the spread, the
 // stats count every edge and split every score op by phase, and the
-// assignment sequence is the same on two shards, under an unlimited
-// vertex budget, and behind a stream that hides its length (given it
-// through WithTotalEdgesHint) as on the sized, one-shard, unbudgeted run.
+// assignment sequence is the same under an unlimited vertex budget and
+// behind a stream that hides its length (given it through
+// WithTotalEdgesHint) as on the sized, unbudgeted run.
 //
 // Layout: data[0] picks k ∈ [1, 32]; data[1] is a flag byte (bit 0
 // eager, bit 1 clustering off, bit 2 a spread block instead of all
@@ -204,13 +204,12 @@ func FuzzAdwiseRun(f *testing.F) {
 		}
 		n := int64(len(edges))
 
-		run := func(shards int, budget int64, sized bool) (*metrics.Assignment, RunStats) {
+		run := func(budget int64, sized bool) (*metrics.Assignment, RunStats) {
 			t.Helper()
 			clk := clock.NewFake(time.Unix(0, 0))
 			opts := []Option{
 				WithClock(clk),
 				WithAllowedPartitions(parts),
-				WithScoreWorkers(shards),
 				WithClusteringScore(flags&2 == 0),
 				WithVertexBudget(budget),
 			}
@@ -238,7 +237,7 @@ func FuzzAdwiseRun(f *testing.F) {
 			return a, ad.Stats()
 		}
 
-		ref, st := run(1, 0, true)
+		ref, st := run(0, true)
 		allowed := make(map[int]bool, len(parts))
 		for _, p := range parts {
 			allowed[p] = true
@@ -266,11 +265,9 @@ func FuzzAdwiseRun(f *testing.F) {
 			t.Fatalf("phase score ops %+v sum to %d, ScoreComputations %d", st.PhaseScoreOps, got, st.ScoreComputations)
 		}
 
-		a, _ := run(2, 0, true)
-		requireSameAssignments(t, "2 shards", ref, a)
-		a, _ = run(1, math.MaxInt64, true)
+		a, _ := run(math.MaxInt64, true)
 		requireSameAssignments(t, "unlimited budget", ref, a)
-		a, _ = run(1, 0, false)
+		a, _ = run(0, false)
 		requireSameAssignments(t, "unsized stream", ref, a)
 	})
 }

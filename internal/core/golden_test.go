@@ -155,15 +155,13 @@ func assignmentDigest(a *metrics.Assignment) string {
 }
 
 // runGoldenCell partitions the cell's stream with the cell's fixed window
-// on two score shards and a fake clock, returning the cell's digest line
-// and the run stats.
+// and a fake clock, returning the cell's digest line and the run stats.
 func runGoldenCell(t *testing.T, c goldenCell, edges []graph.Edge) (string, RunStats) {
 	t.Helper()
 	opts := []Option{
 		WithInitialWindow(c.windowSize()),
 		WithFixedWindow(),
 		WithAllowedPartitions(c.allowed()),
-		WithScoreWorkers(2),
 		WithClock(clock.NewFake(time.Unix(0, 0))),
 		WithClusteringScore(c.clustering),
 	}

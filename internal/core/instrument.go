@@ -5,19 +5,12 @@ import (
 )
 
 // Metric names published by the partitioner core when a registry is
-// attached via WithMetrics. The pool counters tick live, per scoring
-// pass; the rest publish once at the end of Run.
+// attached via WithMetrics. All publish once at the end of Run.
 const (
 	// MetricAssignments counts edges assigned (end of Run).
 	MetricAssignments = "core.assignments"
 	// MetricScoreOps counts edge score evaluations (end of Run).
 	MetricScoreOps = "core.score_ops"
-	// MetricPoolPasses counts scoring passes dispatched to the
-	// work-stealing pool (live, per pass).
-	MetricPoolPasses = "core.pool.passes"
-	// MetricStolenShards counts pool-pass shards executed by pool workers
-	// rather than the instance's own goroutine (live, per pass).
-	MetricStolenShards = "core.pool.stolen_shards"
 	// MetricRunLatency is the partitioning wall-clock per Run, as a
 	// histogram timer.
 	MetricRunLatency = "core.run.latency"
@@ -32,12 +25,10 @@ const (
 	MetricVcachePeakBytes = "core.vcache.peak_bytes"
 )
 
-// WithMetrics attaches a telemetry registry: pool pass/steal counters
-// tick live while the run executes (cheap — one atomic add per scoring
-// pass, never per edge), and the run totals (assignments, score ops,
-// partitioning latency) publish when Run returns. The default, no
-// registry, leaves the hot path exactly as before — the nil checks sit on
-// the per-pass path, not the per-edge path.
+// WithMetrics attaches a telemetry registry: the run totals (assignments,
+// score ops, partitioning latency, vertex-state footprint) publish when
+// Run returns. The default, no registry, publishes nothing; the scoring
+// hot path never touches the registry either way.
 func WithMetrics(reg *metric.Registry) Option {
 	return func(c *config) { c.metrics = reg }
 }

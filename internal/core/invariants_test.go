@@ -6,11 +6,7 @@ import (
 	"slices"
 	"testing"
 
-	"github.com/adwise-go/adwise/internal/gen"
 	"github.com/adwise-go/adwise/internal/graph"
-	"github.com/adwise-go/adwise/internal/metrics"
-	"github.com/adwise-go/adwise/internal/scorepool"
-	"github.com/adwise-go/adwise/internal/stream"
 )
 
 // checkWindowInvariants verifies the structural window invariants:
@@ -228,16 +224,14 @@ func checkMirrorsAndCounts(t *testing.T, w *window) {
 
 // TestWindowInvariantsRandomized drives the window through a randomized
 // add/pop/reassess workload, checking the structural invariants
-// throughout — in both lazy and eager mode, serial and sharded.
+// throughout — in both lazy and eager mode.
 func TestWindowInvariantsRandomized(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		eager   bool
-		workers int
+		name  string
+		eager bool
 	}{
-		{"lazy/serial", false, 1},
-		{"lazy/workers=4", false, 4},
-		{"eager/serial", true, 1},
+		{"lazy/serial", false},
+		{"eager/serial", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sc, _ := newTestScorer(8, 1.0, true, 10_000)
@@ -245,13 +239,7 @@ func TestWindowInvariantsRandomized(t *testing.T) {
 			if tc.eager {
 				maxCand = int(^uint(0) >> 1)
 			}
-			var exec *scorepool.Pool
-			if tc.workers > 1 {
-				exec = scorepool.New(tc.workers)
-				defer exec.Close()
-			}
-			pool := newScorePool(exec, tc.workers, len(sc.parts))
-			w := newWindow(sc, pool, 0.1, maxCand, tc.eager)
+			w := newWindow(sc, 0.1, maxCand, tc.eager)
 			rng := rand.New(rand.NewSource(99))
 			for i := 0; i < 4000; i++ {
 				switch r := rng.Float64(); {
@@ -280,190 +268,5 @@ func TestWindowInvariantsRandomized(t *testing.T) {
 			}
 			checkWindowInvariants(t, w)
 		})
-	}
-}
-
-// equivalenceGraph is the ≥100k-edge stream of the serial ≡ parallel
-// contract test.
-func equivalenceGraph(t testing.TB) []graph.Edge {
-	t.Helper()
-	g, err := gen.RMAT(17, 100_000, 0.57, 0.19, 0.19, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g.Edges
-}
-
-// TestParallelScoringMatchesSerial is the determinism contract: sharding
-// window scoring across any worker count must produce edge-for-edge
-// identical assignments to the serial run — same edges, same order, same
-// partitions — on a 100k-edge skewed graph, in lazy and eager mode.
-// Run under -race this also exercises the pool for data races.
-func TestParallelScoringMatchesSerial(t *testing.T) {
-	edges := equivalenceGraph(t)
-	run := func(workers int, opts ...Option) *metrics.Assignment {
-		t.Helper()
-		all := append([]Option{
-			WithInitialWindow(1024),
-			WithFixedWindow(),
-			WithMaxCandidates(512),
-			WithScoreWorkers(workers),
-		}, opts...)
-		ad, err := New(8, all...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, err := ad.Run(stream.FromEdges(edges))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := ad.Stats().ScoreWorkers; got != workers {
-			t.Fatalf("resolved ScoreWorkers = %d, want %d", got, workers)
-		}
-		return a
-	}
-
-	serial := run(1)
-	if serial.Len() != len(edges) {
-		t.Fatalf("serial run assigned %d of %d edges", serial.Len(), len(edges))
-	}
-	for _, workers := range []int{2, 8} {
-		parallel := run(workers)
-		if parallel.Len() != serial.Len() {
-			t.Fatalf("workers=%d assigned %d edges, serial %d", workers, parallel.Len(), serial.Len())
-		}
-		for i := range serial.Edges {
-			if serial.Edges[i] != parallel.Edges[i] || serial.Parts[i] != parallel.Parts[i] {
-				t.Fatalf("workers=%d diverged at assignment %d: serial %v→%d, parallel %v→%d",
-					workers, i, serial.Edges[i], serial.Parts[i], parallel.Edges[i], parallel.Parts[i])
-			}
-		}
-	}
-
-	// Eager mode rescores the whole window every pop — the heaviest pool
-	// user; a smaller prefix keeps the quadratic pass affordable.
-	short := edges[:10_000]
-	eSerial, eParallel := runEager(t, short, 1), runEager(t, short, 4)
-	for i := range eSerial.Edges {
-		if eSerial.Edges[i] != eParallel.Edges[i] || eSerial.Parts[i] != eParallel.Parts[i] {
-			t.Fatalf("eager workers=4 diverged at assignment %d", i)
-		}
-	}
-}
-
-func runEager(t *testing.T, edges []graph.Edge, workers int) *metrics.Assignment {
-	t.Helper()
-	ad, err := New(8,
-		WithInitialWindow(256),
-		WithFixedWindow(),
-		WithEagerTraversal(),
-		WithScoreWorkers(workers),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := ad.Run(stream.FromEdges(edges))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return a
-}
-
-// TestWorkerStatsFolded verifies the per-worker accounting: sharded
-// passes happen, their ops land in the per-worker counters, and the
-// total ScoreComputations includes both the pool's and the serial ops.
-func TestWorkerStatsFolded(t *testing.T) {
-	edges := equivalenceGraph(t)[:20_000]
-	ad, err := New(8,
-		WithInitialWindow(256),
-		WithFixedWindow(),
-		WithEagerTraversal(), // every pop is a full-window sharded rescore
-		WithScoreWorkers(2),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ad.Run(stream.FromEdges(edges)); err != nil {
-		t.Fatal(err)
-	}
-	st := ad.Stats()
-	if st.ScoreWorkers != 2 {
-		t.Errorf("ScoreWorkers = %d, want 2", st.ScoreWorkers)
-	}
-	if st.ParallelScorePasses == 0 {
-		t.Error("ParallelScorePasses = 0: eager 256-window pops should shard")
-	}
-	if len(st.WorkerScoreOps) != 2 {
-		t.Fatalf("WorkerScoreOps has %d workers, want 2", len(st.WorkerScoreOps))
-	}
-	var poolOps int64
-	for i, ops := range st.WorkerScoreOps {
-		if ops == 0 {
-			t.Errorf("worker %d did no scoring work across %d sharded passes", i, st.ParallelScorePasses)
-		}
-		poolOps += ops
-	}
-	if st.ScoreComputations < poolOps {
-		t.Errorf("ScoreComputations %d below pool ops %d: serial ops not folded", st.ScoreComputations, poolOps)
-	}
-}
-
-// TestTopTwoCachedShardedMatchesSerial exercises the deterministic
-// reduction directly: the sharded top-two merge must reproduce the serial
-// left-to-right scan — including first-wins tie-breaks — on adversarial
-// score layouts larger than the scan grain.
-func TestTopTwoCachedShardedMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	n := scanGrain + 1234
-	scores := make([]float64, n)
-	for i := range scores {
-		// Coarse quantisation forces plenty of exact ties, including for
-		// the maximum, so the insertion-order tie-break is really tested.
-		scores[i] = float64(rng.Intn(64))
-	}
-	exec := scorepool.New(4)
-	defer exec.Close()
-	pool := newScorePool(exec, 4, 2)
-
-	for round := 0; round < 50; round++ {
-		serialTop := scanTopTwo(scores, 0, len(scores))
-		gotIdx, gotSecond := pool.topTwoCached(scores)
-		if gotIdx != serialTop.bestIdx || gotSecond != serialTop.second {
-			t.Fatalf("round %d: sharded (idx=%d second=%v) != serial (idx=%d second=%v)",
-				round, gotIdx, gotSecond, serialTop.bestIdx, serialTop.second)
-		}
-		// Perturb for the next round.
-		for i := 0; i < 100; i++ {
-			scores[rng.Intn(n)] = float64(rng.Intn(64))
-		}
-	}
-	if pool.passes == 0 {
-		t.Fatal("sharded scan never engaged the pool")
-	}
-}
-
-// TestForEachShardsTile verifies the fixed shard boundaries: every index
-// covered exactly once, shard assignment a pure function of (items, n).
-func TestForEachShardsTile(t *testing.T) {
-	exec := scorepool.New(2)
-	defer exec.Close()
-	for _, n := range []int{1, 2, 3, 7, 8} {
-		pool := newScorePool(exec, n, 2)
-		for _, items := range []int{0, 1, 5, 63, 64, 1000, 4096} {
-			covered := make([]int32, items)
-			// Shards cover disjoint index ranges, so the concurrent writes
-			// below are race-free by construction — exactly the disjoint-
-			// slot rule real passes rely on.
-			pool.forEach(items, 1, func(worker, lo, hi int) {
-				for i := lo; i < hi; i++ {
-					covered[i]++
-				}
-			})
-			for i, c := range covered {
-				if c != 1 {
-					t.Fatalf("n=%d items=%d: index %d covered %d times", n, items, i, c)
-				}
-			}
-		}
 	}
 }

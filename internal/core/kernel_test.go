@@ -42,7 +42,7 @@ func TestScoreEdgeKernelZeroAlloc(t *testing.T) {
 		view := sc.view()
 		src, dst, n, counts := kernelInputs(sc)
 		allocs := testing.AllocsPerRun(200, func() {
-			view.scoreEdge(src, dst, n, counts, sc.prime)
+			view.scoreEdge(src, dst, n, counts, sc.scratch)
 		})
 		if allocs != 0 {
 			t.Errorf("k=%d: scoreEdge kernel allocated %.1f per run, want 0", k, allocs)
@@ -57,7 +57,7 @@ func TestScoreEdgeKernelZeroAlloc(t *testing.T) {
 func TestScoreReadPathsZeroAlloc(t *testing.T) {
 	for _, k := range []int{8, 96} {
 		sc := populatedScorer(t, k, 4_000)
-		w := newWindow(sc, newScorePool(nil, 1, len(sc.parts)), 0.1, 64, false)
+		w := newWindow(sc, 0.1, 64, false)
 		rng := rand.New(rand.NewSource(3))
 		for i := 0; i < 200; i++ {
 			w.add(graph.Edge{Src: graph.VertexID(rng.Intn(40)), Dst: graph.VertexID(rng.Intn(1000))})
@@ -70,8 +70,8 @@ func TestScoreReadPathsZeroAlloc(t *testing.T) {
 				w.engage()
 			}
 			allocs := testing.AllocsPerRun(200, func() {
-				w.scoreEntry(&view, ent, sc.prime)
-				w.scoreFresh(&view, fresh, sc.prime)
+				w.scoreEntry(&view, ent, sc.scratch)
+				w.scoreFresh(&view, fresh, sc.scratch)
 			})
 			if allocs != 0 {
 				t.Errorf("k=%d engaged=%v: window scoring allocated %.1f per run, want 0", k, engaged, allocs)
@@ -153,7 +153,7 @@ func BenchmarkScoreEdgeKernel(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				view.scoreEdge(src, dst, n, counts, sc.prime)
+				view.scoreEdge(src, dst, n, counts, sc.scratch)
 			}
 		})
 	}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/adwise-go/adwise/internal/clock"
+	"github.com/adwise-go/adwise/internal/gen"
 	"github.com/adwise-go/adwise/internal/graph"
 	"github.com/adwise-go/adwise/internal/metrics"
 	"github.com/adwise-go/adwise/internal/stream"
@@ -41,6 +42,17 @@ func (d *drawStream) Remaining() int64 {
 // its own, so every edge the window draws is exactly one Next on d.
 func (d *drawStream) perEdge() stream.Stream { return stream.NewBuffered(d, 1) }
 
+// equivalenceGraph is the 100k-edge skewed RMAT stream whose prefixes the
+// refill and C2 equivalence tests run.
+func equivalenceGraph(t testing.TB) []graph.Edge {
+	t.Helper()
+	g, err := gen.RMAT(17, 100_000, 0.57, 0.19, 0.19, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g.Edges
+}
+
 // requireSameAssignments fails unless a and b assigned the same edges to
 // the same partitions in the same order.
 func requireSameAssignments(t *testing.T, label string, a, b *metrics.Assignment) {
@@ -57,18 +69,17 @@ func requireSameAssignments(t *testing.T, label string, a, b *metrics.Assignment
 }
 
 // checkRefillToEnd runs a fixed window of the given size over edges,
-// with WithTotalEdgesHint, at one and two shards, once for each entry of
-// sized (whether the stream reports its length); every run must assign
-// every edge and match the sized one-shard run edge for edge.
+// with WithTotalEdgesHint, once for each entry of sized (whether the
+// stream reports its length); every run must assign every edge and match
+// the sized run edge for edge.
 func checkRefillToEnd(t *testing.T, edges []graph.Edge, window int, sized []bool) {
 	t.Helper()
-	run := func(workers int, sized bool) *metrics.Assignment {
+	run := func(sized bool) *metrics.Assignment {
 		t.Helper()
 		ad, err := New(8,
 			WithInitialWindow(window),
 			WithFixedWindow(),
 			WithMaxCandidates(256),
-			WithScoreWorkers(workers),
 			WithTotalEdgesHint(int64(len(edges))),
 		)
 		if err != nil {
@@ -80,15 +91,12 @@ func checkRefillToEnd(t *testing.T, edges []graph.Edge, window int, sized []bool
 		}
 		return a
 	}
-	ref := run(1, true)
+	ref := run(true)
 	if ref.Len() != len(edges) {
-		t.Fatalf("w=%d: sized one-shard run assigned %d of %d edges", window, ref.Len(), len(edges))
+		t.Fatalf("w=%d: sized run assigned %d of %d edges", window, ref.Len(), len(edges))
 	}
-	for _, workers := range []int{1, 2} {
-		for _, s := range sized {
-			label := fmt.Sprintf("w=%d workers=%d sized=%v", window, workers, s)
-			requireSameAssignments(t, label, ref, run(workers, s))
-		}
+	for _, s := range sized {
+		requireSameAssignments(t, fmt.Sprintf("w=%d sized=%v", window, s), ref, run(s))
 	}
 }
 
@@ -105,8 +113,8 @@ func TestBatchedRefillDeficitExceedsStream(t *testing.T) {
 // TestRefillUnknownRemaining pins the refill loop over a stream that
 // cannot report its length (Remaining is -1), given the length through
 // WithTotalEdgesHint: a window smaller than the stream refills many
-// times and must stop only at the stream's end. The sized multi-shard
-// run is the control.
+// times and must stop only at the stream's end. The sized run is the
+// control.
 func TestRefillUnknownRemaining(t *testing.T) {
 	edges := equivalenceGraph(t)[:10_000]
 	checkRefillToEnd(t, edges, 512, []bool{true, false})

@@ -19,22 +19,18 @@ import (
 // degree-aware replication score R (Eq. 5) and the clustering score CS
 // (Eq. 6).
 //
-// Scoring is split into three pieces so window passes can run on a worker
-// pool (see scorepool.go):
+// Scoring is split into three pieces:
 //
 //   - scoreView is the immutable per-pass snapshot of everything a score
 //     depends on besides the edge's own inputs: λ, the partition-size
 //     extrema, the maximum degree, and the allowed-partition layout.
 //     Within one scoring pass no assignment is committed, so the snapshot
-//     is exact — and because it is never written during the pass, any
-//     number of workers can score against it concurrently.
-//   - scoreScratch is the per-worker mutable state: the clustering-score
+//     is exact, and every edge scored in the pass sees the same inputs.
+//   - scoreScratch is the mutable scoring state: the clustering-score
 //     counts, the per-partition score buffer, the epoch stamps of the
-//     window walks, and the worker's score-op and |N| counters. Each
-//     worker owns one; nothing in a scratch is shared.
-//   - scorer owns the cache, the adaptive λ, and a "prime" scratch for the
-//     serial paths (add, reassess, single-leader rescores), and mints
-//     scoreViews at pass boundaries.
+//     window walks, and the score-op and |N| counters.
+//   - scorer owns the cache, the adaptive λ and the scratch every window
+//     pass scores with, and mints scoreViews at pass boundaries.
 //
 // The kernel takes its per-edge inputs ready-made: the two endpoints'
 // degrees and replica words (from the window's slot mirrors, or one cache
@@ -42,9 +38,8 @@ import (
 // inputs |N(u)∪N(v)| and per-partition neighbour counts, which the
 // window produces (window.go). It never probes the cache itself.
 
-// scoreScratch is the mutable per-worker scoring state. One scratch is
-// owned by exactly one goroutine at a time; the pool hands scratch i to
-// shard-worker i and the scorer's prime scratch serves every serial path.
+// scoreScratch is the mutable scoring state. The scorer's scratch serves
+// every window pass; tests score oracles on scratches of their own.
 type scoreScratch struct {
 	// cs[i] counts the scored edge's window neighbours replicated on the
 	// allowed partition parts[i] — the numerators of Eq. 6, filled by the
@@ -96,10 +91,9 @@ func paddedParts(k int) int { return (k + 63) / 64 * 64 }
 
 // scoreView is the immutable scoring snapshot for one window pass. All
 // fields are fixed at construction (scorer.view); scoreEdge only reads
-// them — commits happen strictly between passes. This is what makes a
-// scoring pass safe to shard across workers and, independently, what
-// pins the pass semantics: every edge scored in one pass sees the same
-// λ, sizes, and degrees, regardless of evaluation order.
+// them — commits happen strictly between passes. This is what pins the
+// pass semantics: every edge scored in one pass sees the same λ, sizes,
+// and degrees, regardless of evaluation order.
 //
 // The balance term λ·B(p) of Eq. 7 depends only on λ and the partition
 // sizes — both fixed for the pass — so the view carries it precomputed
@@ -140,8 +134,7 @@ type endpoint struct {
 // inputs (dst the zero endpoint for a self-loop); n = |N(u)∪N(v)| is the
 // size of the edge's window neighbourhood and counts[i] how many of those
 // neighbours are replicated on parts[i] — the clustering score of Eq. 6,
-// skipped when n is 0. All mutable state lives in scr, so concurrent
-// calls with distinct scratches are safe.
+// skipped when n is 0. All mutable state lives in scr.
 //
 // This is the replica-scan kernel of the scoring hot loop, written
 // branch-light over the flat SoA buffers: the score buffer is seeded with
@@ -229,7 +222,7 @@ func scatterCount(counts []int32, partIdx []int32, words []uint64, delta int32) 
 
 // scorer evaluates g(e,p) against a vertex cache and maintains the
 // adaptive balancing weight λ. It is the pass-boundary owner of scoring:
-// views are minted per pass, and the prime scratch backs the serial paths.
+// views are minted per pass, and its scratch backs every window pass.
 type scorer struct {
 	cache *vcache.Cache
 	parts []int // allowed partitions (spotlight spread)
@@ -242,9 +235,9 @@ type scorer struct {
 
 	totalEdges int64 // m in Eq. 4; <= 0 means unknown
 
-	// prime is the scratch of the serial scoring paths (window add,
-	// reassess, lazy-leader rescores). Worker scratches live in scorePool.
-	prime *scoreScratch
+	// scratch is the scoring state of every window pass; its score-op
+	// count is the run's ScoreComputations.
+	scratch *scoreScratch
 
 	// balBuf backs scoreView.balance: one float64 per allowed partition,
 	// refilled by view() at each pass boundary. At most one pass (and hence
@@ -273,7 +266,7 @@ func newScorer(cache *vcache.Cache, parts []int, cfg config) *scorer {
 		balanceEps: cfg.balanceEps,
 		clustering: cfg.clustering,
 		totalEdges: cfg.totalEdges,
-		prime:      newScoreScratch(len(parts)),
+		scratch:    newScoreScratch(len(parts)),
 		balBuf:     make([]float64, len(parts)),
 		partIdx:    partIdx,
 	}

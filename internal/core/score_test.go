@@ -207,7 +207,7 @@ func TestScoreOpsCounted(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		sc.scoreEdge(graph.Edge{Src: 0, Dst: 1}, nil)
 	}
-	if sc.prime.scoreOps != 5 {
-		t.Errorf("scoreOps = %d, want 5", sc.prime.scoreOps)
+	if sc.scratch.scoreOps != 5 {
+		t.Errorf("scoreOps = %d, want 5", sc.scratch.scoreOps)
 	}
 }

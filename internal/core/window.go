@@ -19,23 +19,21 @@ import (
 // compares every promotion/demotion decision of the pass against that
 // snapshot. updateScore mutates scoreSum mid-pass, but the drifting live
 // Θ is never consulted until the next pass begins. This makes the
-// decisions of a pass a pure function of its entry state (and hence
-// independent of the order entries are evaluated in), which is both the
-// correctness rule the serial code needs — historically selectLazy read
-// Θ live per retry, so demotions depended on iteration order — and the
-// precondition for sharding a pass across score workers.
+// decisions of a pass a pure function of its entry state, and hence
+// independent of the order entries are evaluated in: a selectLazy that
+// read Θ live per retry would make its demotions depend on iteration
+// order.
 //
-// # Parallel scoring passes
+// # Compute, then apply
 //
-// The heavy passes (rescoreCandidates, rescanSecondary, and the cached-
-// score scans of lazy selection) run on a scorePool in two phases: a
-// parallel compute phase scores a snapshot of the set into a results
-// array (workers share nothing — per-worker scratches, an immutable
-// scoreView, disjoint result slots), then a serial apply phase walks the
+// The heavy passes (rescoreCandidates, rescanSecondary) run in two
+// phases: a compute phase scores a snapshot of the set into flat result
+// slots against the pass's immutable scoreView, reading window state
+// that nothing mutates during the pass, then an apply phase walks the
 // snapshot in order, refreshing caches and promoting/demoting against
-// the pass's Θ snapshot. Fixed shard boundaries plus shard-order argmax
-// merges (see scorepool.go) make the assignment sequence edge-for-edge
-// identical for any worker count.
+// the pass's Θ snapshot. An instance scores its window on its own
+// goroutine; ADWISE's parallelism is the z spotlight instances (§III-D),
+// each with its own window.
 //
 // # Struct-of-arrays layout
 //
@@ -132,8 +130,7 @@ type incidence struct {
 }
 
 type window struct {
-	sc   *scorer
-	pool *scorePool
+	sc *scorer
 
 	candidates []*winEntry
 	secondary  []*winEntry
@@ -193,7 +190,7 @@ type window struct {
 	eager bool
 
 	// Reusable pass buffers: the set snapshot walked by the apply phase
-	// and the parallel compute phase's result slots (struct-of-arrays:
+	// and the compute phase's result slots (struct-of-arrays:
 	// passScores[i] / passParts[i] are the fresh score and argmax
 	// partition of entSnap[i]).
 	entSnap    []*winEntry
@@ -225,11 +222,10 @@ func (l *ledger) fill(st *RunStats) {
 	st.CountEngagements = l.engagements
 }
 
-func newWindow(sc *scorer, pool *scorePool, epsilon float64, maxCand int, eager bool) *window {
+func newWindow(sc *scorer, epsilon float64, maxCand int, eager bool) *window {
 	wpe := (sc.cache.K() + 63) / 64
 	return &window{
 		sc:      sc,
-		pool:    pool,
 		slotOf:  make(map[graph.VertexID]int32, 256),
 		pairs:   make(map[uint64]int32),
 		wpe:     wpe,
@@ -294,8 +290,7 @@ func (w *window) endpoint(v graph.VertexID, s int32) endpoint {
 // score evaluates e, whose endpoints hold slots su and sv (−1 for an
 // endpoint without a live window edge), against view. The clustering
 // inputs come from whichever producer is engaged; with the clustering
-// score off neither runs. Read-only on the window, so safe for concurrent
-// calls with distinct scratches during a pass.
+// score off neither runs. Read-only on the window.
 //
 //adwise:zeroalloc
 func (w *window) score(view *scoreView, e graph.Edge, su, sv int32, scr *scoreScratch) (float64, int) {
@@ -627,7 +622,7 @@ func (w *window) sync(s int32) {
 	if !changed || !w.engaged {
 		return
 	}
-	stamps, epoch := w.sc.prime.nextEpoch(len(w.slotVertex))
+	stamps, epoch := w.sc.scratch.nextEpoch(len(w.slotVertex))
 	stamps[s] = epoch
 	for _, inc := range w.incident[s] {
 		t := inc.other
@@ -643,15 +638,9 @@ func (w *window) sync(s int32) {
 
 // adapt closes an engagement period: it engages the counts when the
 // period's mean |N| per clustering evaluation reached |parts|, and drops
-// them when it fell below |parts|/2. Σ|N| and the op count are summed
-// over every scratch, so the decision is independent of the shard count.
+// them when it fell below |parts|/2.
 func (w *window) adapt() {
-	nSum, ops := w.sc.prime.nSum, w.sc.prime.scoreOps
-	if w.pool != nil {
-		for _, scr := range w.pool.scratch {
-			nSum, ops = nSum+scr.nSum, ops+scr.scoreOps
-		}
-	}
+	nSum, ops := w.sc.scratch.nSum, w.sc.scratch.scoreOps
 	dn, dops := nSum-w.periodN, ops-w.periodOps
 	w.periodN, w.periodOps, w.periodCommits = nSum, ops, 0
 	parts := int64(w.nparts)
@@ -670,7 +659,7 @@ func (w *window) adapt() {
 // the incident lists and, while engaged, the counts.
 func (w *window) add(e graph.Edge) {
 	view := w.sc.view()
-	best, part := w.scoreFresh(&view, e, w.sc.prime)
+	best, part := w.scoreFresh(&view, e, w.sc.scratch)
 	w.account(&w.ledger.ops.Refill, 1)
 	su, sv := w.acquireSlot(e.Src), w.acquireSlot(e.Dst)
 	ent := &winEntry{edge: e, score: best, part: part, srcSlot: su, dstSlot: sv}
@@ -729,9 +718,9 @@ func (w *window) detach(ent *winEntry) {
 // remove detaches ent and marks it dead, unlinking it from its two
 // endpoint incident lists on the spot (and freeing an endpoint slot whose
 // list empties): removal is the only source of dead list entries, so
-// eager compaction here keeps every later walk — including the sharded
-// compute phases — free of removed entries. While engaged, the pair
-// leaves the counts first, while both slots' mirrors are still live.
+// eager compaction here keeps every later walk free of removed entries.
+// While engaged, the pair leaves the counts first, while both slots'
+// mirrors are still live.
 func (w *window) remove(ent *winEntry) {
 	w.detach(ent)
 	ent.kind = removed
@@ -789,23 +778,37 @@ func (w *window) snapshotSet(set []*winEntry) ([]*winEntry, []float64, []int32) 
 	return w.entSnap, w.passScores, w.passParts
 }
 
-// scoreAll is the parallel compute phase: score every snapshot entry
-// against the pass view into its result slots (disjoint indices of the
-// flat score/part arrays), booking the pass to phase. Workers read
-// window state nobody mutates during the pass; the shard id doubles as
-// the scratch id.
+// scoreAll is the compute phase: score every snapshot entry against the
+// pass view into its result slots of the flat score/part arrays, booking
+// the pass to phase. It mutates no window state.
 func (w *window) scoreAll(phase *int64, ents []*winEntry, view *scoreView, scores []float64, parts []int32) {
 	w.account(phase, len(ents))
-	w.pool.forEach(len(ents), scoreGrainPerWorker, func(shard, lo, hi int) {
-		scr := w.sc.prime
-		if w.pool != nil {
-			scr = w.pool.scratch[shard]
+	for i, ent := range ents {
+		best, part := w.scoreEntry(view, ent, w.sc.scratch)
+		scores[i], parts[i] = best, int32(part)
+	}
+}
+
+// scanTopTwo scans a set's flat cached-score slice for the argmax and the
+// runner-up score — the lazy-selection scan of §III-B: first-wins argmax
+// on strictly-greater (the earliest index wins a tie), runner-up floored
+// at 0 (scores are non-negative). bestIdx is −1 for an empty slice. The
+// loop is two compares and at most two moves per element over contiguous
+// float64s — no pointer chasing.
+func scanTopTwo(scores []float64) (bestIdx int, second float64) {
+	if len(scores) == 0 {
+		return -1, 0
+	}
+	best := scores[0]
+	for i := 1; i < len(scores); i++ {
+		if s := scores[i]; s > best {
+			second = best
+			bestIdx, best = i, s
+		} else if s > second {
+			second = s
 		}
-		for i := lo; i < hi; i++ {
-			best, part := w.scoreEntry(view, ents[i], scr)
-			scores[i], parts[i] = best, int32(part)
-		}
-	})
+	}
+	return bestIdx, second
 }
 
 // popBest implements GETBESTASSIGNMENT's search (Alg. 1 line 9) with lazy
@@ -864,10 +867,10 @@ func (w *window) popBest() (e graph.Edge, part int, score float64, ok bool) {
 // stale argmax partition would desynchronise the assignment from the
 // scoring function.
 func (w *window) popFreshFrom(set []*winEntry, scores []float64) (graph.Edge, int, float64, bool) {
-	idx, _ := w.pool.topTwoCached(scores)
+	idx, _ := scanTopTwo(scores)
 	best := set[idx]
 	view := w.sc.view()
-	fresh, part := w.scoreEntry(&view, best, w.sc.prime)
+	fresh, part := w.scoreEntry(&view, best, w.sc.scratch)
 	w.account(&w.ledger.ops.PopFresh, 1)
 	w.updateScore(best, fresh, part)
 	w.remove(best)
@@ -894,9 +897,9 @@ func (w *window) selectLazy() *winEntry {
 		if try > 0 {
 			w.ledger.retries++
 		}
-		idx, second := w.pool.topTwoCached(w.candScores)
+		idx, second := scanTopTwo(w.candScores)
 		best := w.candidates[idx]
-		fresh, part := w.scoreEntry(&view, best, w.sc.prime)
+		fresh, part := w.scoreEntry(&view, best, w.sc.scratch)
 		w.account(&w.ledger.ops.Leader, 1)
 		w.updateScore(best, fresh, part)
 		if fresh >= second || len(w.candidates) == 1 {
@@ -920,9 +923,9 @@ func (w *window) selectLazy() *winEntry {
 
 // rescoreCandidates refreshes every candidate's score, demoting those that
 // fell to or below the pass's Θ snapshot (lazy mode only), and returns the
-// argmax (nil if all demoted). The compute phase runs on the score
-// workers; the serial apply phase walks the snapshot in insertion-position
-// order, so the argmax tie-break (first strictly-greater win) is fixed.
+// argmax (nil if all demoted). The apply phase walks the snapshot in
+// insertion-position order, so the argmax tie-break (first
+// strictly-greater win) is fixed.
 func (w *window) rescoreCandidates() *winEntry {
 	theta := w.theta()
 	view := w.sc.view()
@@ -948,10 +951,10 @@ func (w *window) rescoreCandidates() *winEntry {
 }
 
 // rescanSecondary re-scores every secondary entry and promotes those whose
-// fresh score exceeds the pass's Θ snapshot (§III-B step 2). Compute runs
-// on the score workers; the apply phase promotes in snapshot order. Since
-// the pass just refreshed every secondary score anyway, it finishes by
-// re-summing scoreSum exactly, flushing accumulated floating-point drift.
+// fresh score exceeds the pass's Θ snapshot (§III-B step 2). The apply
+// phase promotes in snapshot order. Since the pass just refreshed every
+// secondary score anyway, it finishes by re-summing scoreSum exactly,
+// flushing accumulated floating-point drift.
 func (w *window) rescanSecondary() {
 	w.rescans++
 	theta := w.theta()
@@ -973,7 +976,7 @@ func (w *window) rescanSecondary() {
 // reassess re-scores the secondary edges incident to v — called when v
 // gained a new replica, which may have raised their replication or
 // clustering scores past Θ (§III-B step 3). Incident lists are short, so
-// the pass runs serially on the prime scratch; Θ and the view are
+// the pass scores and applies each entry in turn; Θ and the view are
 // snapshotted at entry like every other pass.
 func (w *window) reassess(v graph.VertexID) {
 	w.reassessments++
@@ -990,7 +993,7 @@ func (w *window) reassess(v graph.VertexID) {
 		if ent.kind != inSecondary || len(w.candidates) >= w.maxCand {
 			continue
 		}
-		score, part := w.scoreEntry(&view, ent, w.sc.prime)
+		score, part := w.scoreEntry(&view, ent, w.sc.scratch)
 		w.account(&w.ledger.ops.Reassess, 1)
 		w.updateScore(ent, score, part)
 		if score > theta {

@@ -64,10 +64,10 @@ func BenchmarkPopBest(b *testing.B) {
 // BenchmarkAdwiseRun measures a full fixed-window pass end to end: window
 // refill (buffered stream draw), scoring, cache updates. The community case
 // has short incident lists. The zipf case is hub-heavy (Zipf s=1.3, 2.5k
-// vertices, 10k edges, k=32, window 1024, one shard): window
+// vertices, 10k edges, k=32, window 1024): window
 // neighbourhoods hold about a hundred vertices, so the maintained
 // neighbour counts serve the clustering score. The rmat-w64 case (RMAT
-// scale 14, 40k shuffled edges, k=8, window 64, one shard) has
+// scale 14, 40k shuffled edges, k=8, window 64) has
 // neighbourhoods of about zero, so the walk serves throughout.
 func BenchmarkAdwiseRun(b *testing.B) {
 	zipf, err := gen.Zipf(2500, 10_000, 1.3, 1)
@@ -85,8 +85,8 @@ func BenchmarkAdwiseRun(b *testing.B) {
 		opts  []Option
 	}{
 		{"community", benchGraph(b).Edges, 16, []Option{WithInitialWindow(128), WithFixedWindow()}},
-		{"zipf", zipf.Edges, 32, []Option{WithInitialWindow(1024), WithFixedWindow(), WithScoreWorkers(1)}},
-		{"rmat-w64", stream.Shuffled(rmat.Edges, 1), 8, []Option{WithInitialWindow(64), WithFixedWindow(), WithScoreWorkers(1)}},
+		{"zipf", zipf.Edges, 32, []Option{WithInitialWindow(1024), WithFixedWindow()}},
+		{"rmat-w64", stream.Shuffled(rmat.Edges, 1), 8, []Option{WithInitialWindow(64), WithFixedWindow()}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"github.com/adwise-go/adwise/internal/graph"
-	"github.com/adwise-go/adwise/internal/scorepool"
 	"github.com/adwise-go/adwise/internal/vcache"
 )
 
@@ -18,9 +17,9 @@ import (
 // every neighbour.
 
 // neighbors collects the window neighbourhood N(u)∪N(v) of a fresh edge
-// over the prime scratch.
+// over the scorer's scratch.
 func (w *window) neighbors(e graph.Edge) []graph.VertexID {
-	return w.freshNeighbors(e, w.sc.prime)
+	return w.freshNeighbors(e, w.sc.scratch)
 }
 
 // freshNeighbors collects the neighbourhood of an edge that is not (yet)
@@ -124,7 +123,7 @@ func probeEndpoint(cache *vcache.Cache, v graph.VertexID) endpoint {
 }
 
 // scoreEdge scores e against a fresh view with the production kernel on
-// the prime scratch, deriving the kernel inputs the oracle's way: the
+// the scorer's scratch, deriving the kernel inputs the oracle's way: the
 // endpoints and the given neighbourhood by cache probe.
 func (s *scorer) scoreEdge(e graph.Edge, neighbors []graph.VertexID) (scores []float64, best float64, bestPart int) {
 	v := s.view()
@@ -136,7 +135,7 @@ func (s *scorer) scoreEdge(e graph.Edge, neighbors []graph.VertexID) (scores []f
 	if v.clustering {
 		n, counts = oracleCounts(s, neighbors)
 	}
-	return v.scoreEdge(probeEndpoint(s.cache, e.Src), dst, n, counts, s.prime)
+	return v.scoreEdge(probeEndpoint(s.cache, e.Src), dst, n, counts, s.scratch)
 }
 
 // oracleIncident builds the vertex-keyed incident map the window kept
@@ -252,14 +251,13 @@ func checkProducersMatchOracle(t *testing.T, w *window, scr *scoreScratch, verti
 func TestWindowSlotsMatchOracle(t *testing.T) {
 	const ids = 16
 	for _, tc := range []struct {
-		name    string
-		eager   bool
-		workers int
-		seed    int64
+		name  string
+		eager bool
+		seed  int64
 	}{
-		{"lazy/serial", false, 1, 1},
-		{"lazy/workers=2", false, 2, 2},
-		{"eager/serial", true, 1, 3},
+		{"lazy/serial", false, 1},
+		{"lazy/seed=2", false, 2},
+		{"eager/serial", true, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sc, _ := newTestScorer(4, 1.0, true, 1000)
@@ -267,12 +265,7 @@ func TestWindowSlotsMatchOracle(t *testing.T) {
 			if tc.eager {
 				maxCand = int(^uint(0) >> 1)
 			}
-			var exec *scorepool.Pool
-			if tc.workers > 1 {
-				exec = scorepool.New(tc.workers)
-				defer exec.Close()
-			}
-			w := newWindow(sc, newScorePool(exec, tc.workers, len(sc.parts)), 0.1, maxCand, tc.eager)
+			w := newWindow(sc, 0.1, maxCand, tc.eager)
 			chk := newScoreScratch(len(sc.parts))
 			rng := rand.New(rand.NewSource(tc.seed))
 			edge := func() graph.Edge {
@@ -383,7 +376,7 @@ func TestEvictionResyncsMirrorsAndCounts(t *testing.T) {
 		clustering:    true,
 		totalEdges:    8000,
 	})
-	w := newWindow(sc, newScorePool(nil, 1, k), DefaultEpsilon, 32, false)
+	w := newWindow(sc, DefaultEpsilon, 32, false)
 	chk := newScoreScratch(k)
 	rng := rand.New(rand.NewSource(8))
 	// Hubs 0..7 meet a long tail of fresh vertices, so the table fills

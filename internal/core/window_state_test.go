@@ -8,9 +8,9 @@ import (
 	"github.com/adwise-go/adwise/internal/graph"
 )
 
-// Regression tests for the window-state bugs fixed alongside the parallel
-// scoring pool: the stale-partition secondary fallback, the live-Θ reads
-// of lazy selection, and scoreSum floating-point drift.
+// Regression tests for window-state bugs: the stale-partition secondary
+// fallback, the live-Θ reads of lazy selection, and scoreSum
+// floating-point drift.
 
 // findEntry locates the window entry of an edge across both sets.
 func findEntry(t *testing.T, w *window, e graph.Edge) *winEntry {

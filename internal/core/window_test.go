@@ -8,7 +8,7 @@ import (
 
 func newTestWindow(k int, epsilon float64, maxCand int, eager bool) (*window, *scorer) {
 	sc, _ := newTestScorer(k, 1.0, true, 100)
-	w := newWindow(sc, newScorePool(nil, 1, len(sc.parts)), epsilon, maxCand, eager)
+	w := newWindow(sc, epsilon, maxCand, eager)
 	return w, sc
 }
 

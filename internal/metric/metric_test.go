@@ -149,9 +149,9 @@ func TestTimerSinceZeroAlloc(t *testing.T) {
 }
 
 // BenchmarkCounterContended hammers one counter from GOMAXPROCS
-// goroutines — the contention profile of scorepool workers bumping a
-// shared steal counter. Striping should keep this near the uncontended
-// single-atomic cost.
+// goroutines — the contention profile of z spotlight instances or serve
+// handlers bumping one shared counter. Striping should keep this near the
+// uncontended single-atomic cost.
 func BenchmarkCounterContended(b *testing.B) {
 	c := New().Counter("contended")
 	b.ReportAllocs()

@@ -45,14 +45,12 @@ func (c goldenCell) name() string {
 	return fmt.Sprintf("%s/k=%d/z=%d/spread=%d/%s", c.strategy, goldenK, c.z, c.spread, entry)
 }
 
-// spec returns the cell's strategy spec: ADWISE at a fixed window of 64
-// with a score-worker budget of 3, which splitScoreWorkers divides
-// unevenly across two instances; HDRF at its defaults.
+// spec returns the cell's strategy spec: ADWISE at a fixed window of 64,
+// HDRF at its defaults.
 func (c goldenCell) spec() Spec {
 	s := Spec{K: goldenK, Seed: 7}
 	if c.strategy == "adwise" {
 		s.Window = 64
-		s.ScoreWorkers = 3
 	}
 	return s
 }

@@ -6,21 +6,13 @@ import (
 
 // Metric names published by PublishStats for a completed pass. They carry
 // the strategy-independent Stats view, so hashing baselines and window
-// strategies report through the same names; the window-only fields simply
-// stay zero for strategies without a scoring pool.
+// strategies report through the same names; score ops simply stay zero
+// for strategies that do not score.
 const (
 	// MetricRunAssignments counts edges assigned across published passes.
 	MetricRunAssignments = "runtime.assignments"
 	// MetricRunScoreOps counts edge score evaluations.
 	MetricRunScoreOps = "runtime.score_ops"
-	// MetricRunPoolPasses counts scoring passes that ran sharded on the
-	// scoring pool.
-	MetricRunPoolPasses = "runtime.pool.passes"
-	// MetricRunPoolScoreOps is the share of score ops done on pool passes.
-	MetricRunPoolScoreOps = "runtime.pool.score_ops"
-	// MetricRunStolenShards counts pool-pass shards executed by pool
-	// workers rather than the owning instance's goroutine.
-	MetricRunStolenShards = "runtime.pool.stolen_shards"
 	// MetricRunLatency is the partitioning wall-clock per published pass,
 	// as a histogram timer.
 	MetricRunLatency = "runtime.partitioning.latency"
@@ -44,9 +36,6 @@ func PublishStats(reg *metric.Registry, st Stats) {
 	}
 	reg.Counter(MetricRunAssignments).Inc(st.Assignments)
 	reg.Counter(MetricRunScoreOps).Inc(st.ScoreComputations)
-	reg.Counter(MetricRunPoolPasses).Inc(st.ParallelScorePasses)
-	reg.Counter(MetricRunPoolScoreOps).Inc(st.PoolScoreOps)
-	reg.Counter(MetricRunStolenShards).Inc(st.StolenScoreShards)
 	reg.Counter(MetricRunVcacheEvicted).Inc(st.EvictedVertices)
 	reg.Gauge(MetricRunVcacheBytes).Set(st.CacheBytes)
 	reg.Gauge(MetricRunVcachePeakBytes).Set(st.PeakCacheBytes)

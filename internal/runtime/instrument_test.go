@@ -79,9 +79,6 @@ func TestPublishStats(t *testing.T) {
 	PublishStats(reg, Stats{
 		Assignments:         100,
 		ScoreComputations:   500,
-		ParallelScorePasses: 7,
-		PoolScoreOps:        300,
-		StolenScoreShards:   4,
 		PartitioningLatency: 25 * time.Millisecond,
 	})
 	PublishStats(reg, Stats{Assignments: 50})
@@ -90,8 +87,8 @@ func TestPublishStats(t *testing.T) {
 	if got := regCounter(t, reg, MetricRunAssignments); got != 150 {
 		t.Errorf("%s = %d, want cumulative 150", MetricRunAssignments, got)
 	}
-	if got := regCounter(t, reg, MetricRunStolenShards); got != 4 {
-		t.Errorf("%s = %d, want 4", MetricRunStolenShards, got)
+	if got := regCounter(t, reg, MetricRunScoreOps); got != 500 {
+		t.Errorf("%s = %d, want 500", MetricRunScoreOps, got)
 	}
 	if tp, ok := reg.Snapshot().Timer(MetricRunLatency); !ok || tp.Count != 2 {
 		t.Errorf("%s = %+v ok=%v, want two observations", MetricRunLatency, tp, ok)

@@ -37,14 +37,12 @@ type Spec struct {
 	// Lambda overrides the balancing weight of strategies that take one
 	// (HDRF); 0 selects the strategy default.
 	Lambda float64
-	// ScoreWorkers sets the window-scoring logical shard count of
-	// window-class strategies (ADWISE). 0 = auto: GOMAXPROCS shards
-	// executing on the process-wide work-stealing pool, which arbitrates
-	// cores across spotlight instances dynamically. Under
-	// SpotlightConfig.Instances an explicit value is a per-run budget
-	// distributed across the z instances with remainder spread
-	// (splitScoreWorkers).
-	// Any value yields identical assignments.
+	// ScoreWorkers is ignored: every ADWISE instance scores its window on
+	// its own goroutine.
+	//
+	// Deprecated: the repository benchmark (perfbench/prog) still sets it;
+	// it goes once a benchmark change drops its -score-workers flag
+	// (ROADMAP item 3).
 	ScoreWorkers int
 	// VertexBudgetBytes caps the byte footprint of the instance's vertex
 	// state; 0 leaves it unbounded. Under SpotlightConfig.Instances a
@@ -56,8 +54,8 @@ type Spec struct {
 	// strategies set each preset's clustering toggle through it.
 	Options []core.Option
 	// Metrics, when non-nil, attaches a live telemetry registry:
-	// window-class instances publish their pool pass/steal counters and
-	// run totals onto it (core.WithMetrics). Spotlight instances share the
+	// window-class instances publish their run totals onto it
+	// (core.WithMetrics). Spotlight instances share the
 	// one registry — counters are striped and lock-free, so z concurrent
 	// publishers do not contend — and callers hand the same registry to
 	// OpenFileStreams to meter the segment streams.
@@ -262,9 +260,6 @@ func init() {
 		}
 		if s.Window > 0 {
 			opts = append(opts, core.WithInitialWindow(s.Window), core.WithFixedWindow())
-		}
-		if s.ScoreWorkers > 0 {
-			opts = append(opts, core.WithScoreWorkers(s.ScoreWorkers))
 		}
 		if s.VertexBudgetBytes > 0 {
 			opts = append(opts, core.WithVertexBudget(s.VertexBudgetBytes))

@@ -66,20 +66,14 @@ type Stats struct {
 	// FinalLambda is the balancing weight after the last assignment
 	// (adaptive-λ strategies only).
 	FinalLambda float64
-	// ScoreWorkers is the resolved logical scoring shard count (window
-	// strategies only; 0 for strategies without a scoring pool).
-	ScoreWorkers int
-	// ParallelScorePasses counts scoring passes that ran sharded on the
-	// scoring pool; PoolScoreOps is the share of ScoreComputations those
-	// passes performed. Per-instance attribution holds even on the shared
-	// process-wide pool: ops land in the instance's own shard scratches no
-	// matter which pool worker executed them.
-	ParallelScorePasses int64
-	PoolScoreOps        int64
-	// StolenScoreShards counts pool-pass shards executed by pool workers
-	// rather than the instance's own goroutine — >0 means the instance
-	// actually borrowed cores (the work-stealing flex under spotlight).
-	StolenScoreShards int64
+	// ParallelScorePasses, PoolScoreOps and StolenScoreShards are always
+	// zero: every instance scores its window on its own goroutine, so no
+	// pass is sharded, shared or stolen.
+	//
+	// Deprecated: the repository benchmark (perfbench/prog/part.go) still
+	// reads all three for its scorepool.* metrics; they go once a benchmark
+	// change drops those metrics (ROADMAP item 3).
+	ParallelScorePasses, PoolScoreOps, StolenScoreShards int64
 	// EvictedVertices counts vertex-state evictions under a vertex budget
 	// (0 on the unbounded default).
 	EvictedVertices int64
@@ -100,10 +94,6 @@ func AggregateStats(stats []Stats) Stats {
 		agg.Assignments += st.Assignments
 		agg.Vertices += st.Vertices
 		agg.ScoreComputations += st.ScoreComputations
-		agg.ParallelScorePasses += st.ParallelScorePasses
-		agg.PoolScoreOps += st.PoolScoreOps
-		agg.StolenScoreShards += st.StolenScoreShards
-		agg.ScoreWorkers += st.ScoreWorkers
 		// Byte footprints sum: the z caches coexist for the run, so the
 		// run-level envelope is their total.
 		agg.EvictedVertices += st.EvictedVertices
@@ -170,10 +160,6 @@ type adwiseStrategy struct {
 
 func (a adwiseStrategy) Stats() Stats {
 	st := a.Adwise.Stats()
-	var poolOps int64
-	for _, ops := range st.WorkerScoreOps {
-		poolOps += ops
-	}
 	return Stats{
 		Assignments:         st.Assignments,
 		Vertices:            a.Cache().Vertices(),
@@ -182,10 +168,6 @@ func (a adwiseStrategy) Stats() Stats {
 		FinalWindow:         st.FinalWindow,
 		PeakWindow:          st.PeakWindow,
 		FinalLambda:         st.FinalLambda,
-		ScoreWorkers:        st.ScoreWorkers,
-		ParallelScorePasses: st.ParallelScorePasses,
-		PoolScoreOps:        poolOps,
-		StolenScoreShards:   st.StolenScoreShards,
 		EvictedVertices:     st.EvictedVertices,
 		CacheBytes:          st.CacheBytes,
 		PeakCacheBytes:      st.PeakCacheBytes,

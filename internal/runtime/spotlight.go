@@ -77,11 +77,8 @@ func (c SpotlightConfig) SpreadFor(i int) []int {
 // Runner ignored the stream error contract.
 //
 // stats[i] is instance i's Stats if its Runner implements Strategy (zero
-// otherwise). With every instance scoring on the shared work-stealing
-// pool, per-instance counters remain correctly attributed — each
-// instance's score ops land in its own shard scratches no matter which
-// pool worker executed them — so summing stats across instances
-// (AggregateStats) neither double-counts nor loses pool-executed work.
+// otherwise). Each instance counts only its own work, so summing stats
+// across instances (AggregateStats) neither double-counts nor loses any.
 func RunSpotlightStreamsStats(streams []stream.Stream, cfg SpotlightConfig, build func(i int, allowed []int) (Runner, error)) (*metrics.Assignment, []Stats, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
@@ -223,67 +220,30 @@ func OpenFileStreams(path string, z int, reg *metric.Registry) ([]stream.Stream,
 // Instances returns the builder of RunSpotlightStreamsStats for Z
 // registry instances of the named strategy under c: instance i gets spec
 // with K defaulted to c.K, its spread as Allowed, the seed offset by i,
-// and its share of the run-level ScoreWorkers and VertexBudgetBytes
-// budgets. It sets no TotalEdgesHint: chunks and segments report their
-// exact length through Remaining, and ADWISE takes m (Eq. 4) from there.
+// and its share of the run-level VertexBudgetBytes budget. It sets no
+// TotalEdgesHint: chunks and segments report their exact length through
+// Remaining, and ADWISE takes m (Eq. 4) from there.
 func (c SpotlightConfig) Instances(name string, spec Spec) func(i int, allowed []int) (Runner, error) {
 	if spec.K == 0 {
 		spec.K = c.K
 	}
-	shares := splitScoreWorkers(spec.ScoreWorkers, c.Z, c.Sequential)
 	budgets := splitVertexBudget(spec.VertexBudgetBytes, c.Z)
 	return func(i int, allowed []int) (Runner, error) {
 		s := spec
 		s.Allowed = allowed
 		s.Seed = spec.Seed + uint64(i)
-		s.ScoreWorkers = shares[i]
 		s.VertexBudgetBytes = budgets[i]
 		return New(name, s)
 	}
 }
 
-// splitScoreWorkers resolves the per-instance logical scoring shard
-// counts under parallel loading. With total == 0 (auto) every instance
-// stays auto too — each resolves to GOMAXPROCS shards executing on the
-// process-wide work-stealing pool, which arbitrates the machine's cores
-// across instances dynamically, so there is nothing to divide and no core
-// is ever stranded. An explicit total is a per-run budget: it is
-// distributed across the z instances with the remainder spread over the
-// first total%z instances (never the floor-division of the historical
-// divideScoreWorkers, which stranded up to z−1 requested shards — 8
-// cores, z=3 → 6 workers), with every instance getting at least 1.
-// Sequential runs execute instances one at a time, so each may use the
-// full explicit total.
-func splitScoreWorkers(total, z int, sequential bool) []int {
-	shares := make([]int, max(z, 1))
-	if total == 0 {
-		return shares // all auto
-	}
-	if sequential {
-		for i := range shares {
-			shares[i] = total
-		}
-		return shares
-	}
-	base, rem := total/len(shares), total%len(shares)
-	for i := range shares {
-		shares[i] = base
-		if i < rem {
-			shares[i]++
-		}
-		if shares[i] < 1 {
-			shares[i] = 1
-		}
-	}
-	return shares
-}
-
 // splitVertexBudget divides a run-level vertex-state byte budget across
-// the z instances with remainder spread, like splitScoreWorkers. Unlike
-// score workers there is no sequential exception: all z caches coexist
-// for the whole run (each instance keeps its state until the merge), so
-// the run-level envelope is their sum regardless of execution order.
-// total 0 (unbounded) leaves every instance unbounded.
+// the z instances, the remainder spread over the first total%z instances
+// and every instance getting at least one byte. All z caches coexist for
+// the whole run (each instance keeps its state until the merge), so the
+// run-level envelope is their sum regardless of execution order, even
+// with Sequential set. total 0 (unbounded) leaves every instance
+// unbounded.
 func splitVertexBudget(total int64, z int) []int64 {
 	shares := make([]int64, max(z, 1))
 	if total <= 0 {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	gort "runtime"
 	"strings"
 	"testing"
 	"time"
@@ -391,110 +390,9 @@ func TestSpotlightSequentialMatchesParallel(t *testing.T) {
 	}
 }
 
-// TestSpotlightScoreWorkersInvariant pins the cross-layer determinism
-// contract: under spotlight loading, the per-instance score-worker count
-// must not change a single assignment — only wall-clock. Auto (0) divides
-// the machine's cores among the z instances; explicit values are honoured
-// per instance.
-func TestSpotlightScoreWorkersInvariant(t *testing.T) {
-	g := clusteredGraph(t)
-	cfg := SpotlightConfig{K: 8, Z: 2, Spread: 4, Sequential: true}
-	run := func(workers int) *metrics.Assignment {
-		t.Helper()
-		a, err := runChunks(g.Edges, cfg, cfg.Instances("adwise", Spec{
-			K:            8,
-			Window:       128,
-			ScoreWorkers: workers,
-		}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return a
-	}
-	serial := run(1)
-	for _, workers := range []int{2, 4} {
-		parallel := run(workers)
-		if parallel.Len() != serial.Len() {
-			t.Fatalf("workers=%d assigned %d edges, serial %d", workers, parallel.Len(), serial.Len())
-		}
-		for i := range serial.Edges {
-			if serial.Edges[i] != parallel.Edges[i] || serial.Parts[i] != parallel.Parts[i] {
-				t.Fatalf("workers=%d diverged from serial at assignment %d", workers, i)
-			}
-		}
-	}
-}
-
-// TestSplitScoreWorkers pins the explicit-budget distribution rule: an
-// explicit total is spread across instances with the remainder over the
-// first total%z instances (no stranded cores — the historical floor
-// division lost up to z−1 of a requested budget), never below 1 per
-// instance; auto (0) stays auto everywhere (the shared pool arbitrates);
-// sequential runs keep the whole budget per instance.
-func TestSplitScoreWorkers(t *testing.T) {
-	tests := []struct {
-		total, z   int
-		sequential bool
-		want       []int
-	}{
-		{0, 3, false, []int{0, 0, 0}}, // auto stays auto
-		{0, 2, true, []int{0, 0}},     // auto stays auto, sequential too
-		{8, 3, false, []int{3, 3, 2}}, // remainder spread, Σ = total
-		{8, 8, false, []int{1, 1, 1, 1, 1, 1, 1, 1}},
-		{3, 8, false, []int{1, 1, 1, 1, 1, 1, 1, 1}}, // min 1 each
-		{7, 4, false, []int{2, 2, 2, 1}},
-		{6, 3, true, []int{6, 6, 6}}, // sequential: full budget each
-		{5, 1, false, []int{5}},
-	}
-	for _, tc := range tests {
-		got := splitScoreWorkers(tc.total, tc.z, tc.sequential)
-		if len(got) != len(tc.want) {
-			t.Errorf("splitScoreWorkers(%d,%d,%v) = %v, want %v", tc.total, tc.z, tc.sequential, got, tc.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != tc.want[i] {
-				t.Errorf("splitScoreWorkers(%d,%d,%v) = %v, want %v", tc.total, tc.z, tc.sequential, got, tc.want)
-				break
-			}
-		}
-	}
-	// No stranded budget: for totals ≥ z the shares must sum to the total.
-	for _, tc := range []struct{ total, z int }{{8, 3}, {9, 4}, {16, 5}, {7, 7}} {
-		sum := 0
-		for _, s := range splitScoreWorkers(tc.total, tc.z, false) {
-			sum += s
-		}
-		if sum != tc.total {
-			t.Errorf("splitScoreWorkers(%d,%d) strands budget: shares sum to %d", tc.total, tc.z, sum)
-		}
-	}
-}
-
-// TestInstancesSplitScoreWorkers checks that Instances hands each
-// instance its share of an explicit scoring shard budget.
-func TestInstancesSplitScoreWorkers(t *testing.T) {
-	g := clusteredGraph(t)
-	cfg := SpotlightConfig{K: 6, Z: 3, Spread: 2}
-	streams, err := ChunkStreams(g.Edges, cfg.Z)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, stats, err := RunSpotlightStreamsStats(streams, cfg, cfg.Instances("adwise", Spec{Window: 16, ScoreWorkers: 8}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range []int{3, 3, 2} {
-		if stats[i].ScoreWorkers != want {
-			t.Errorf("instance %d resolved %d score workers, want %d", i, stats[i].ScoreWorkers, want)
-		}
-	}
-}
-
-// skewedSegments builds the skew fixture of the shared-pool tests: one
-// dense RMAT segment and z−1 sparse path segments, the workload shape
-// where a static cores/z split leaves most of the machine idle while the
-// dense instance is compute-bound.
+// skewedSegments builds a skewed spotlight fixture: one dense RMAT
+// segment and z−1 sparse path segments, so the instances do very
+// different amounts of work.
 func skewedSegments(t testing.TB, z, denseEdges int) []stream.Stream {
 	t.Helper()
 	scale := 1
@@ -514,15 +412,14 @@ func skewedSegments(t testing.TB, z, denseEdges int) []stream.Stream {
 	return streams
 }
 
-func runSkewed(t *testing.T, streams []stream.Stream, cfg SpotlightConfig, workers int) (*metrics.Assignment, []Stats) {
+func runSkewed(t *testing.T, streams []stream.Stream, cfg SpotlightConfig) (*metrics.Assignment, []Stats) {
 	t.Helper()
 	a, stats, err := RunSpotlightStreamsStats(streams, cfg, func(i int, allowed []int) (Runner, error) {
 		return New("adwise", Spec{
-			K:            cfg.K,
-			Allowed:      allowed,
-			Window:       256,
-			Seed:         uint64(i),
-			ScoreWorkers: workers,
+			K:       cfg.K,
+			Allowed: allowed,
+			Window:  256,
+			Seed:    uint64(i),
 		})
 	})
 	if err != nil {
@@ -531,72 +428,25 @@ func runSkewed(t *testing.T, streams []stream.Stream, cfg SpotlightConfig, worke
 	return a, stats
 }
 
-// TestSpotlightSkewSharedPoolIdentity is the skew determinism contract:
-// on deliberately skewed segments (one dense RMAT chunk, z−1 sparse
-// ones), assignments under the shared work-stealing pool must be
-// edge-for-edge identical to the fully serial run — under -race this is
-// also the shared-pool data-race check — and, when the machine has more
-// than one core, the dense instance's passes must actually have been
-// served by pool workers (steal count > 0): the stolen cores a static
-// cores/z split could never lend it.
-func TestSpotlightSkewSharedPoolIdentity(t *testing.T) {
-	const z = 4
-	cfg := SpotlightConfig{K: 8, Z: z, Spread: 2}
-	streams := func() []stream.Stream { return skewedSegments(t, z, 30_000) }
-
-	serial, _ := runSkewed(t, streams(), cfg, 1)
-	if serial.Len() == 0 {
-		t.Fatal("serial skew run assigned nothing")
-	}
-	for _, workers := range []int{2, gort.GOMAXPROCS(0)} {
-		shared, stats := runSkewed(t, streams(), cfg, workers)
-		if shared.Len() != serial.Len() {
-			t.Fatalf("workers=%d assigned %d edges, serial %d", workers, shared.Len(), serial.Len())
-		}
-		for i := range serial.Edges {
-			if serial.Edges[i] != shared.Edges[i] || serial.Parts[i] != shared.Parts[i] {
-				t.Fatalf("workers=%d diverged from serial at assignment %d: %v→%d vs %v→%d",
-					workers, i, serial.Edges[i], serial.Parts[i], shared.Edges[i], shared.Parts[i])
-			}
-		}
-		if workers > 1 && gort.GOMAXPROCS(0) > 1 {
-			if stats[0].ParallelScorePasses == 0 {
-				t.Errorf("workers=%d: dense instance ran no pool passes", workers)
-			}
-			if stats[0].StolenScoreShards == 0 {
-				t.Errorf("workers=%d: dense instance had no shards stolen — the shared pool never flexed cores to it", workers)
-			}
-		}
-	}
-}
-
-// TestSpotlightSharedPoolStatsAggregate pins per-instance attribution on
-// the shared pool (satellite: no double-counting, no lost ops): each
-// instance's pool ops live in its own shard scratches, instance sums stay
-// within its ScoreComputations, and AggregateStats reproduces the plain
-// sums/maxima of the per-instance stats.
+// TestSpotlightSharedPoolStatsAggregate pins per-instance attribution
+// under concurrent instances on skewed segments (no double-counting, no
+// lost ops): AggregateStats reproduces the plain sums/maxima of the
+// per-instance stats.
 func TestSpotlightSharedPoolStatsAggregate(t *testing.T) {
 	const z = 4
 	cfg := SpotlightConfig{K: 8, Z: z, Spread: 2}
-	_, stats := runSkewed(t, skewedSegments(t, z, 20_000), cfg, 2)
+	_, stats := runSkewed(t, skewedSegments(t, z, 20_000), cfg)
 	if len(stats) != z {
 		t.Fatalf("got %d per-instance stats, want %d", len(stats), z)
 	}
-	var wantAssign, wantOps, wantPasses, wantPool, wantStolen int64
+	var wantAssign, wantOps int64
 	var wantLat time.Duration
 	for i, st := range stats {
 		if st.Assignments == 0 {
 			t.Errorf("instance %d reports 0 assignments", i)
 		}
-		if st.PoolScoreOps > st.ScoreComputations {
-			t.Errorf("instance %d: pool ops %d exceed its total score ops %d — cross-instance leakage",
-				i, st.PoolScoreOps, st.ScoreComputations)
-		}
 		wantAssign += st.Assignments
 		wantOps += st.ScoreComputations
-		wantPasses += st.ParallelScorePasses
-		wantPool += st.PoolScoreOps
-		wantStolen += st.StolenScoreShards
 		if st.PartitioningLatency > wantLat {
 			wantLat = st.PartitioningLatency
 		}
@@ -607,15 +457,6 @@ func TestSpotlightSharedPoolStatsAggregate(t *testing.T) {
 	}
 	if agg.ScoreComputations != wantOps {
 		t.Errorf("aggregate ScoreComputations = %d, want %d", agg.ScoreComputations, wantOps)
-	}
-	if agg.ParallelScorePasses != wantPasses {
-		t.Errorf("aggregate ParallelScorePasses = %d, want %d", agg.ParallelScorePasses, wantPasses)
-	}
-	if agg.PoolScoreOps != wantPool {
-		t.Errorf("aggregate PoolScoreOps = %d, want %d", agg.PoolScoreOps, wantPool)
-	}
-	if agg.StolenScoreShards != wantStolen {
-		t.Errorf("aggregate StolenScoreShards = %d, want %d", agg.StolenScoreShards, wantStolen)
 	}
 	if agg.PartitioningLatency != wantLat {
 		t.Errorf("aggregate latency = %v, want max %v", agg.PartitioningLatency, wantLat)
