@@ -55,9 +55,9 @@ type Spec struct {
 	Options []core.Option
 	// Metrics, when non-nil, attaches a live telemetry registry:
 	// window-class instances publish their run totals onto it
-	// (core.WithMetrics). Spotlight instances share the
-	// one registry — counters are striped and lock-free, so z concurrent
-	// publishers do not contend — and callers hand the same registry to
+	// (core.WithMetrics). Spotlight instances share the one registry —
+	// counters are striped and lock-free, so z concurrent publishers do
+	// not contend — and callers hand the same registry to
 	// OpenFileStreams to meter the segment streams.
 	Metrics *metric.Registry
 }
