@@ -382,9 +382,10 @@ func PublishStrategyStats(reg *MetricRegistry, st StrategyStats) {
 // the file: OpenFileStreams (metered onto spec.Metrics), cfg.Instances and
 // RunSpotlight. cfg and the strategy name are validated before the file
 // is opened, and with a non-nil spec.Metrics the run's
-// AggregateStrategyStats are published there. With streaming strategies the edge list is never materialised,
-// so the file may be far larger than memory; the all-edge "ne" strategy
-// still collects each instance's segment.
+// AggregateStrategyStats are published there. With streaming strategies
+// the edge list is never materialised, so the file may be far larger
+// than memory; the all-edge "ne" strategy still collects each instance's
+// segment.
 func PartitionFileSpotlight(name, path string, cfg SpotlightConfig, spec StrategySpec) (*Assignment, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -233,10 +233,11 @@ func checkLedger(t *testing.T, name string, st RunStats, clustering bool) {
 // TestGoldenAssignmentDigests is the cross-build behaviour anchor: every
 // cell of the matrix must reproduce the committed digest of its assignment
 // sequence, its replication factor, its largest partition, its score op
-// count and its work ledger (ledgerColumns) exactly. The in-build equivalence tests compare two live paths
-// of one build; this file pins what both paths produced when it was
-// recorded, so a change that moves every path at once still shows. Run
-// with -update to re-record after an intended behaviour change.
+// count and its work ledger (ledgerColumns) exactly. The in-build
+// equivalence tests compare two live paths of one build; this file pins
+// what both paths produced when it was recorded, so a change that moves
+// every path at once still shows. Run with -update to re-record after an
+// intended behaviour change.
 func TestGoldenAssignmentDigests(t *testing.T) {
 	edges := map[string][]graph.Edge{
 		"zipf": goldenEdges(t, "zipf"),
