@@ -99,8 +99,6 @@ var (
 	WithEagerTraversal = core.WithEagerTraversal
 	// WithClock substitutes the latency time source (tests).
 	WithClock = core.WithClock
-	// WithTotalEdgesHint supplies the stream length when unknown.
-	WithTotalEdgesHint = core.WithTotalEdgesHint
 	// WithEpsilon sets the candidate threshold offset ε.
 	WithEpsilon = core.WithEpsilon
 	// WithMaxCandidates bounds the lazy-traversal candidate set.

@@ -68,7 +68,6 @@ func Memory(cfg Config) (*Table, error) {
 			core.WithInitialWindow(1 << 10),
 			core.WithFixedWindow(),
 			core.WithMaxCandidates(1 << 10),
-			core.WithTotalEdgesHint(int64(len(g.Edges))),
 		}
 		if budget > 0 {
 			opts = append(opts, core.WithVertexBudget(budget))

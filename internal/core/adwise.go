@@ -39,7 +39,6 @@ type config struct {
 	fixedWindow   bool // disable adaptation (ablation)
 	maxCandidates int
 	lazy          bool             // lazy window traversal; eager rescans everything (ablation)
-	totalEdges    int64            // m hint when the stream cannot report it
 	vertexBudget  int64            // vertex-state byte budget; 0 = unbounded cache
 	metrics       *metric.Registry // nil → no telemetry published
 }
@@ -125,12 +124,6 @@ func WithMaxCandidates(n int) Option {
 // the lazy-vs-eager ablation).
 func WithEagerTraversal() Option {
 	return func(c *config) { c.lazy = false }
-}
-
-// WithTotalEdgesHint supplies m (the stream length) when the stream cannot
-// report it; Eq. 4's progress term α and condition C2 depend on it.
-func WithTotalEdgesHint(m int64) Option {
-	return func(c *config) { c.totalEdges = m }
 }
 
 // WithVertexBudget caps the byte footprint of the vertex state. The
@@ -328,36 +321,25 @@ func (a *Adwise) Run(s stream.Stream) (*metrics.Assignment, error) {
 	}
 	a.ran = true
 
+	// The stream length is m in Eq. 4's progress term α.
+	m, err := stream.Len(s)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	a.scorer.totalEdges = m
+
 	// The window refill draws one edge at a time; buffering batches the
 	// pulls from the underlying stream (file, chunk, …) and devirtualizes
 	// the per-edge call to a concrete method. Buffered.Remaining counts
 	// buffered-but-unconsumed edges, so condition (C2) stays exact.
 	src := stream.NewBuffered(s, stream.DefaultBatchSize)
 
-	hint := src.Remaining()
-	if a.scorer.totalEdges <= 0 && hint >= 0 {
-		a.scorer.totalEdges = hint
-	}
-	if hint < 0 {
-		// The stream cannot report its length (Remaining() < 0) and no
-		// WithTotalEdgesHint was given. The assignment sizing contract for
-		// that case: start from the largest edge population the
-		// configuration itself implies — the window bound — and let the
-		// assignment grow geometrically past it. maxWindow dominates
-		// initialWindow by the New validation, so it is the sharper floor.
-		hint = int64(a.cfg.maxWindow)
-		if a.scorer.totalEdges > 0 {
-			hint = a.scorer.totalEdges
-		}
-	}
-	totalEdges := a.scorer.totalEdges
+	// Pre-size the vertex table from the same edge count that sizes the
+	// assignment, so the pass skips the doubling rehashes (a budgeted
+	// cache clamps the reservation to its budget).
+	a.cache.Reserve(vcache.VerticesHintForEdges(m))
 
-	// Pre-size the vertex table from the same edge-count hint that sizes
-	// the assignment, so known-length streams skip the doubling rehashes
-	// (a budgeted cache clamps the reservation to its budget).
-	a.cache.Reserve(vcache.VerticesHintForEdges(hint))
-
-	asn := metrics.NewAssignment(a.cfg.k, int(hint))
+	asn := metrics.NewAssignment(a.cfg.k, int(m))
 
 	start := a.cfg.clk.Now()
 	deadline := start.Add(a.cfg.latencyPref)
@@ -419,7 +401,7 @@ func (a *Adwise) Run(s stream.Stream) (*metrics.Assignment, error) {
 
 			curAvg := periodScore / float64(periodCount)
 			c1 := !havePrevAvg || curAvg >= prevAvgScore
-			c2 := a.c2(now, deadline, latPerEdge, src, totalEdges)
+			c2 := a.c2(now, deadline, latPerEdge, src)
 
 			switch {
 			case c1 && c2 && w < a.cfg.maxWindow:
@@ -470,8 +452,9 @@ func (a *Adwise) Run(s stream.Stream) (*metrics.Assignment, error) {
 
 // c2 evaluates condition (C2): the latency preference can still be met,
 // i.e. lat_w < L′/|E′| with L′ the time left until the deadline and |E′|
-// the edges still to assign (stream remainder plus window fill).
-func (a *Adwise) c2(now, deadline time.Time, latPerEdge time.Duration, s stream.Stream, totalEdges int64) bool {
+// the edges still to assign: the stream's remainder, which excludes the
+// edges already drawn, plus the window fill.
+func (a *Adwise) c2(now, deadline time.Time, latPerEdge time.Duration, s stream.Stream) bool {
 	if a.cfg.latencyPref <= 0 {
 		return false
 	}
@@ -479,19 +462,7 @@ func (a *Adwise) c2(now, deadline time.Time, latPerEdge time.Duration, s stream.
 	if left <= 0 {
 		return false
 	}
-	remaining := s.Remaining()
-	switch {
-	case remaining >= 0:
-		// The stream's remainder excludes the edges already drawn into
-		// the window.
-		remaining += int64(a.win.len())
-	case totalEdges > 0:
-		// The stream cannot report its length; m minus the assigned edges
-		// already includes the window's.
-		remaining = totalEdges - a.stats.Assignments
-	default:
-		remaining = int64(a.win.len())
-	}
+	remaining := s.Remaining() + int64(a.win.len())
 	if remaining <= 0 {
 		return true
 	}

@@ -61,8 +61,8 @@ func FuzzWindowOps(f *testing.F) {
 			lambdaMax:     DefaultLambdaMax,
 			balanceEps:    DefaultBalanceEps,
 			clustering:    flags&2 == 0,
-			totalEdges:    int64(len(data)),
 		})
+		sc.totalEdges = int64(len(data))
 		maxCand := 1 + int(flags>>3)%8
 		if eager {
 			maxCand = int(^uint(0) >> 1)
@@ -152,9 +152,8 @@ func FuzzWindowOps(f *testing.F) {
 // edge list, runs it, and checks the run-level contracts: every input
 // edge is assigned exactly once (as a multiset) into the spread, the
 // stats count every edge and split every score op by phase, and the
-// assignment sequence is the same under an unlimited vertex budget and
-// behind a stream that hides its length (given it through
-// WithTotalEdgesHint) as on the sized, unbudgeted run.
+// assignment sequence is the same under an unlimited vertex budget as on
+// the unbudgeted run.
 //
 // Layout: data[0] picks k ∈ [1, 32]; data[1] is a flag byte (bit 0
 // eager, bit 1 clustering off, bit 2 a spread block instead of all
@@ -204,7 +203,7 @@ func FuzzAdwiseRun(f *testing.F) {
 		}
 		n := int64(len(edges))
 
-		run := func(budget int64, sized bool) (*metrics.Assignment, RunStats) {
+		run := func(budget int64) (*metrics.Assignment, RunStats) {
 			t.Helper()
 			clk := clock.NewFake(time.Unix(0, 0))
 			opts := []Option{
@@ -222,14 +221,11 @@ func FuzzAdwiseRun(f *testing.F) {
 			} else {
 				opts = append(opts, WithInitialWindow(1+int(data[4])%64), WithFixedWindow())
 			}
-			if !sized {
-				opts = append(opts, WithTotalEdgesHint(n))
-			}
 			ad, err := New(k, opts...)
 			if err != nil {
 				t.Fatal(err)
 			}
-			d := &drawStream{inner: stream.FromEdges(edges), sized: sized, clk: clk}
+			d := &drawStream{inner: stream.FromEdges(edges), clk: clk}
 			a, err := ad.Run(d.perEdge())
 			if err != nil {
 				t.Fatal(err)
@@ -237,7 +233,7 @@ func FuzzAdwiseRun(f *testing.F) {
 			return a, ad.Stats()
 		}
 
-		ref, st := run(0, true)
+		ref, st := run(0)
 		allowed := make(map[int]bool, len(parts))
 		for _, p := range parts {
 			allowed[p] = true
@@ -265,9 +261,7 @@ func FuzzAdwiseRun(f *testing.F) {
 			t.Fatalf("phase score ops %+v sum to %d, ScoreComputations %d", st.PhaseScoreOps, got, st.ScoreComputations)
 		}
 
-		a, _ := run(math.MaxInt64, true)
+		a, _ := run(math.MaxInt64)
 		requireSameAssignments(t, "unlimited budget", ref, a)
-		a, _ = run(0, false)
-		requireSameAssignments(t, "unsized stream", ref, a)
 	})
 }

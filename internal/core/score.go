@@ -233,7 +233,7 @@ type scorer struct {
 	balanceEps float64 // ε in Eq. 3
 	clustering bool
 
-	totalEdges int64 // m in Eq. 4; <= 0 means unknown
+	totalEdges int64 // m in Eq. 4: the stream length, set by Run
 
 	// scratch is the scoring state of every window pass; its score-op
 	// count is the run's ScoreComputations.
@@ -265,7 +265,6 @@ func newScorer(cache *vcache.Cache, parts []int, cfg config) *scorer {
 		lambdaMax:  cfg.lambdaMax,
 		balanceEps: cfg.balanceEps,
 		clustering: cfg.clustering,
-		totalEdges: cfg.totalEdges,
 		scratch:    newScoreScratch(len(parts)),
 		balBuf:     make([]float64, len(parts)),
 		partIdx:    partIdx,

@@ -22,9 +22,10 @@ func newTestScorer(k int, lambda float64, clustering bool, totalEdges int64) (*s
 		lambdaMax:     DefaultLambdaMax,
 		balanceEps:    DefaultBalanceEps,
 		clustering:    clustering,
-		totalEdges:    totalEdges,
 	}
-	return newScorer(cache, parts, cfg), cache
+	sc := newScorer(cache, parts, cfg)
+	sc.totalEdges = totalEdges
+	return sc, cache
 }
 
 func approx(t *testing.T, name string, got, want float64) {

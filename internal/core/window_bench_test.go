@@ -33,7 +33,7 @@ func BenchmarkPopBest(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				s := stream.FromEdges(g.Edges)
+				s := stream.NewBuffered(stream.FromEdges(g.Edges), 0)
 				// Pre-fill the window outside the timed region.
 				for ad.win.len() < w {
 					e, ok := s.Next()

@@ -374,8 +374,8 @@ func TestEvictionResyncsMirrorsAndCounts(t *testing.T) {
 		lambdaMax:     DefaultLambdaMax,
 		balanceEps:    DefaultBalanceEps,
 		clustering:    true,
-		totalEdges:    8000,
 	})
+	sc.totalEdges = 8000
 	w := newWindow(sc, DefaultEpsilon, 32, false)
 	chk := newScoreScratch(k)
 	rng := rand.New(rand.NewSource(8))

@@ -10,9 +10,10 @@ func init() { RegisterRule(streamerr{}) }
 // streamerr enforces the stream error contract (PR 3): a fallible stream
 // exhausts early and parks its error in Err(), so exhaustion with a
 // pending Err is a failure, never a short success. Any function that
-// drains a stream to exhaustion — a NextBatch or Next call inside a loop
-// — must therefore consult Err before returning; otherwise a truncated
-// file silently partitions as a smaller graph.
+// drains a stream to exhaustion — a NextBatch call, or a call to the
+// stream package's Next, inside a loop — must therefore consult Err
+// before returning; otherwise a truncated file silently partitions as a
+// smaller graph.
 //
 // Stream plumbing is exempt: methods named Next or NextBatch are
 // themselves the wrappers that forward error state instead of checking
@@ -22,7 +23,7 @@ type streamerr struct{}
 func (streamerr) Name() string { return "streamerr" }
 
 func (streamerr) Doc() string {
-	return "functions draining a stream.Batcher to exhaustion must check Err() before returning"
+	return "functions draining a stream.Stream (NextBatch, or *stream.Buffered's Next) to exhaustion must check Err() before returning"
 }
 
 func (streamerr) Check(pkg *Package) []Finding {
@@ -75,9 +76,9 @@ func drainCallInLoop(pkg *Package, body *ast.BlockStmt) ast.Node {
 	return found
 }
 
-// isStreamDrainCall reports whether call pulls edges off a stream:
-// any X.NextBatch(...) or stream.NextBatch(...), or a type-resolved
-// stream.Stream Next method call.
+// isStreamDrainCall reports whether call pulls edges off a stream: any
+// X.NextBatch(...), or a Next method call that type information resolves
+// to the stream package (*stream.Buffered's).
 func isStreamDrainCall(pkg *Package, call *ast.CallExpr) bool {
 	sel, ok := unwrapIndex(call.Fun).(*ast.SelectorExpr)
 	if !ok {
@@ -87,27 +88,39 @@ func isStreamDrainCall(pkg *Package, call *ast.CallExpr) bool {
 	case "NextBatch":
 		return true
 	case "Next":
-		if fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func); ok && fn.Pkg() != nil {
-			return pathHasSuffix(fn.Pkg().Path(), "internal/stream")
-		}
+		return isStreamFunc(pkg, sel.Sel)
 	}
 	return false
 }
 
 // checksErr reports whether body contains an Err() consultation: a call
-// to any .Err() method or to stream.Err(s).
+// to any .Err() method or to stream.Err(s), or a bare Err(s) call that
+// type information resolves to the stream package's own Err (as inside
+// package stream).
 func checksErr(pkg *Package, body *ast.BlockStmt) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
+		if found {
+			return false
+		}
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
-		if sel, ok := unwrapIndex(call.Fun).(*ast.SelectorExpr); ok && sel.Sel.Name == "Err" {
-			found = true
-			return false
+		switch fun := unwrapIndex(call.Fun).(type) {
+		case *ast.SelectorExpr:
+			found = fun.Sel.Name == "Err"
+		case *ast.Ident:
+			found = fun.Name == "Err" && isStreamFunc(pkg, fun)
 		}
-		return true
+		return !found
 	})
 	return found
+}
+
+// isStreamFunc reports whether type information resolves id to a function
+// or method of the stream package.
+func isStreamFunc(pkg *Package, id *ast.Ident) bool {
+	fn, ok := pkg.Info.Uses[id].(*types.Func)
+	return ok && fn.Pkg() != nil && pathHasSuffix(fn.Pkg().Path(), "internal/stream")
 }

@@ -11,7 +11,7 @@ func DrainChecked(s stream.Stream) ([]graph.Edge, error) {
 	var out []graph.Edge
 	var buf [64]graph.Edge
 	for {
-		n := stream.NextBatch(s, buf[:])
+		n := s.NextBatch(buf[:])
 		if n == 0 {
 			if err := stream.Err(s); err != nil {
 				return nil, err
@@ -23,7 +23,7 @@ func DrainChecked(s stream.Stream) ([]graph.Edge, error) {
 }
 
 // CountChecked drains via the Errer method form.
-func CountChecked(b stream.Batcher, buf []graph.Edge) (int64, error) {
+func CountChecked(b stream.FileStream, buf []graph.Edge) (int64, error) {
 	var total int64
 	for {
 		n := b.NextBatch(buf)
@@ -32,10 +32,8 @@ func CountChecked(b stream.Batcher, buf []graph.Edge) (int64, error) {
 		}
 		total += int64(n)
 	}
-	if e, ok := b.(stream.Errer); ok {
-		if err := e.Err(); err != nil {
-			return 0, err
-		}
+	if err := b.Err(); err != nil {
+		return 0, err
 	}
 	return total, nil
 }
@@ -43,5 +41,5 @@ func CountChecked(b stream.Batcher, buf []graph.Edge) (int64, error) {
 // PeekOnce takes a single batch without draining to exhaustion — no loop,
 // no obligation.
 func PeekOnce(s stream.Stream, buf []graph.Edge) int {
-	return stream.NextBatch(s, buf)
+	return s.NextBatch(buf)
 }

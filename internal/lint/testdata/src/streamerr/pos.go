@@ -13,7 +13,7 @@ func DrainSilently(s stream.Stream) []graph.Edge {
 	var out []graph.Edge
 	var buf [64]graph.Edge
 	for {
-		n := stream.NextBatch(s, buf[:]) // want "drains a stream to exhaustion without checking Err"
+		n := s.NextBatch(buf[:]) // want "drains a stream to exhaustion without checking Err"
 		if n == 0 {
 			return out
 		}
@@ -21,8 +21,9 @@ func DrainSilently(s stream.Stream) []graph.Edge {
 	}
 }
 
-// DrainBatcherSilently drains through the Batcher method directly.
-func DrainBatcherSilently(b stream.Batcher, buf []graph.Edge) int64 {
+// DrainBatcherSilently drains a file stream and never consults its Err
+// method.
+func DrainBatcherSilently(b stream.FileStream, buf []graph.Edge) int64 {
 	var total int64
 	for {
 		n := b.NextBatch(buf) // want "drains a stream to exhaustion without checking Err"
@@ -34,7 +35,7 @@ func DrainBatcherSilently(b stream.Batcher, buf []graph.Edge) int64 {
 }
 
 // DrainNextSilently drains edge-at-a-time via the type-resolved Next.
-func DrainNextSilently(s stream.Stream) int {
+func DrainNextSilently(s *stream.Buffered) int {
 	count := 0
 	for {
 		_, ok := s.Next() // want "drains a stream to exhaustion without checking Err"
@@ -42,5 +43,19 @@ func DrainNextSilently(s stream.Stream) int {
 			return count
 		}
 		count++
+	}
+}
+
+// DrainLookalikeErr calls a bare Err that is not the stream package's:
+// the check does not count.
+func DrainLookalikeErr(s stream.Stream, buf []graph.Edge) (int64, error) {
+	Err := func(stream.Stream) error { return nil }
+	var total int64
+	for {
+		n := s.NextBatch(buf) // want "drains a stream to exhaustion without checking Err"
+		if n == 0 {
+			return total, Err(s)
+		}
+		total += int64(n)
 	}
 }

@@ -82,24 +82,22 @@ func (c Config) allowed() []int {
 }
 
 // Run drains s through p and returns the resulting assignment. Edges are
-// drawn in batches (stream.NextBatch) so the per-edge cost is one Assign
-// call, not an extra interface dispatch into the stream. A stream that
-// fails mid-pass (stream.Err) returns the error, never a silently-short
-// assignment.
+// drawn in batches so the per-edge cost is one Assign call, not an extra
+// interface dispatch into the stream. A stream that fails mid-pass
+// (stream.Err) returns the error, never a silently-short assignment.
 func Run(s stream.Stream, p Partitioner) (*metrics.Assignment, error) {
-	hint := s.Remaining()
-	if hint >= 0 {
-		// Known-length stream: pre-size the vertex table too, so the pass
-		// skips the doubling rehashes (a budgeted cache clamps this to its
-		// budget).
-		p.Cache().Reserve(vcache.VerticesHintForEdges(hint))
-	} else {
-		hint = 1024
+	m, err := stream.Len(s)
+	if err != nil {
+		return nil, fmt.Errorf("partition: %w", err)
 	}
-	a := metrics.NewAssignment(p.Cache().K(), int(hint))
+	// Pre-size the vertex table from the stream length too, so the pass
+	// skips the doubling rehashes (a budgeted cache clamps this to its
+	// budget).
+	p.Cache().Reserve(vcache.VerticesHintForEdges(m))
+	a := metrics.NewAssignment(p.Cache().K(), int(m))
 	var buf [stream.DefaultBatchSize]graph.Edge
 	for {
-		n := stream.NextBatch(s, buf[:])
+		n := s.NextBatch(buf[:])
 		if n == 0 {
 			if err := stream.Err(s); err != nil {
 				return nil, fmt.Errorf("partition: edge stream failed after %d assignments: %w", a.Len(), err)

@@ -379,8 +379,7 @@ func TestQuickSizesSumToAssigned(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		s := &stream.Limit{Inner: stream.FromGraph(g), Max: int64(limit)}
-		a, err := Run(s, h)
+		a, err := Run(stream.FromEdges(g.Edges[:limit]), h)
 		if err != nil || a.Len() != limit {
 			return false
 		}

@@ -30,9 +30,11 @@ type Spec struct {
 	// Window, when > 0, pins ADWISE to a fixed window of this size,
 	// overriding latency adaptation.
 	Window int
-	// TotalEdgesHint supplies the stream length when the stream cannot
-	// report it (Remaining() < 0). Spotlight chunks and segments report
-	// theirs, so SpotlightConfig.Instances sets none.
+	// TotalEdgesHint is ignored: every stream reports its exact length
+	// through Remaining.
+	//
+	// Deprecated: the repository benchmark (perfbench/prog) still sets it;
+	// it goes once a benchmark change drops that (ROADMAP item 3).
 	TotalEdgesHint int64
 	// Lambda overrides the balancing weight of strategies that take one
 	// (HDRF); 0 selects the strategy default.
@@ -254,9 +256,6 @@ func init() {
 		opts := []core.Option{core.WithLatencyPreference(s.Latency)}
 		if len(s.Allowed) > 0 {
 			opts = append(opts, core.WithAllowedPartitions(s.Allowed))
-		}
-		if s.TotalEdgesHint > 0 {
-			opts = append(opts, core.WithTotalEdgesHint(s.TotalEdgesHint))
 		}
 		if s.Window > 0 {
 			opts = append(opts, core.WithInitialWindow(s.Window), core.WithFixedWindow())

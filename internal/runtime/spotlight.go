@@ -220,9 +220,9 @@ func OpenFileStreams(path string, z int, reg *metric.Registry) ([]stream.Stream,
 // Instances returns the builder of RunSpotlightStreamsStats for Z
 // registry instances of the named strategy under c: instance i gets spec
 // with K defaulted to c.K, its spread as Allowed, the seed offset by i,
-// and its share of the run-level VertexBudgetBytes budget. It sets no
-// TotalEdgesHint: chunks and segments report their exact length through
-// Remaining, and ADWISE takes m (Eq. 4) from there.
+// and its share of the run-level VertexBudgetBytes budget. Chunks and
+// segments report their exact length through Remaining, and ADWISE takes
+// m (Eq. 4) from there.
 func (c SpotlightConfig) Instances(name string, spec Spec) func(i int, allowed []int) (Runner, error) {
 	if spec.K == 0 {
 		spec.K = c.K

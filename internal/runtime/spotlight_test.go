@@ -350,7 +350,7 @@ func TestRunSpotlightStreamsEnforcesStreamErrors(t *testing.T) {
 		a := metrics.NewAssignment(2, 4)
 		var buf [8]graph.Edge
 		for {
-			n := stream.NextBatch(s, buf[:])
+			n := s.NextBatch(buf[:])
 			if n == 0 {
 				return a, nil // no stream.Err check — deliberately buggy
 			}

@@ -8,20 +8,13 @@ import (
 	"github.com/adwise-go/adwise/internal/graph"
 )
 
-// plainStream hides batch support so the NextBatch fallback path is
-// exercised.
-type plainStream struct{ inner Stream }
-
-func (p *plainStream) Next() (graph.Edge, bool) { return p.inner.Next() }
-func (p *plainStream) Remaining() int64         { return p.inner.Remaining() }
-
 func TestNextBatchSlice(t *testing.T) {
 	s := FromEdges(edgesN(10))
 	var buf [4]graph.Edge
 	sizes := []int{4, 4, 2, 0}
 	total := 0
 	for _, want := range sizes {
-		n := NextBatch(s, buf[:])
+		n := s.NextBatch(buf[:])
 		if n != want {
 			t.Fatalf("NextBatch = %d, want %d", n, want)
 		}
@@ -31,20 +24,6 @@ func TestNextBatchSlice(t *testing.T) {
 			}
 		}
 		total += n
-	}
-}
-
-func TestNextBatchFallback(t *testing.T) {
-	s := &plainStream{inner: FromEdges(edgesN(5))}
-	var buf [3]graph.Edge
-	if n := NextBatch(s, buf[:]); n != 3 {
-		t.Fatalf("fallback NextBatch = %d, want 3", n)
-	}
-	if n := NextBatch(s, buf[:]); n != 2 {
-		t.Fatalf("fallback NextBatch = %d, want 2", n)
-	}
-	if n := NextBatch(s, buf[:]); n != 0 {
-		t.Fatalf("fallback NextBatch on exhausted stream = %d, want 0", n)
 	}
 }
 
@@ -69,7 +48,7 @@ func TestCollect(t *testing.T) {
 
 func TestBufferedMatchesInner(t *testing.T) {
 	edges := edgesN(100)
-	b := NewBuffered(&plainStream{inner: FromEdges(edges)}, 16)
+	b := NewBuffered(FromEdges(edges), 16)
 	if got := b.Remaining(); got != 100 {
 		t.Fatalf("Remaining before draw = %d, want 100", got)
 	}
@@ -174,72 +153,5 @@ func TestFileNextBatchMalformedStops(t *testing.T) {
 	}
 	if n := f.NextBatch(buf[:]); n != 0 {
 		t.Error("batch after error returned edges")
-	}
-}
-
-func TestLimitNextBatch(t *testing.T) {
-	l := &Limit{Inner: FromEdges(edgesN(10)), Max: 5}
-	var buf [4]graph.Edge
-	if n := NextBatch(l, buf[:]); n != 4 {
-		t.Fatalf("first limited batch = %d, want 4", n)
-	}
-	if n := NextBatch(l, buf[:]); n != 1 {
-		t.Fatalf("second limited batch = %d, want 1", n)
-	}
-	if n := NextBatch(l, buf[:]); n != 0 {
-		t.Fatalf("batch past limit = %d, want 0", n)
-	}
-}
-
-func TestCountedNextBatch(t *testing.T) {
-	c := &Counted{Inner: FromEdges(edgesN(7))}
-	var buf [4]graph.Edge
-	NextBatch(c, buf[:])
-	NextBatch(c, buf[:])
-	if c.N != 7 {
-		t.Errorf("Counted.N = %d, want 7", c.N)
-	}
-}
-
-// Chunks edge cases: z exceeding the edge count and empty input.
-func TestChunksMoreChunksThanEdges(t *testing.T) {
-	edges := edgesN(3)
-	chunks := Chunks(edges, 8)
-	if len(chunks) != 3 {
-		t.Fatalf("Chunks(3 edges, z=8) returned %d chunks, want 3", len(chunks))
-	}
-	for i, ch := range chunks {
-		if len(ch) != 1 {
-			t.Errorf("chunk %d has %d edges, want 1", i, len(ch))
-		}
-	}
-}
-
-func TestChunksEmptyInput(t *testing.T) {
-	if chunks := Chunks(nil, 4); chunks != nil {
-		t.Errorf("Chunks(nil, 4) = %v, want nil", chunks)
-	}
-	if chunks := Chunks([]graph.Edge{}, 0); chunks != nil {
-		t.Errorf("Chunks(empty, 0) = %v, want nil", chunks)
-	}
-}
-
-func TestInterleaveEmptyAndOversizedBlocks(t *testing.T) {
-	if out := Interleave(nil, 4); len(out) != 0 {
-		t.Errorf("Interleave(nil, 4) returned %d edges", len(out))
-	}
-	edges := edgesN(3)
-	out := Interleave(edges, 10)
-	if len(out) != 3 {
-		t.Fatalf("Interleave(3 edges, 10 blocks) returned %d edges", len(out))
-	}
-	seen := make(map[graph.Edge]bool)
-	for _, e := range out {
-		seen[e] = true
-	}
-	for _, e := range edges {
-		if !seen[e] {
-			t.Errorf("edge %v lost by oversized-block interleave", e)
-		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 
 // Binary (ADWB) ingest: every edge is one fixed 8-byte record behind a
 // validated header (see internal/graph/binary.go), so the fast format of
-// the bench harness streams behind the same Batcher/Errer surface as text
+// the bench harness streams behind the same Stream/Errer surface as text
 // edge lists — and, unlike text, its segment planning needs no counting
 // pass at all: record arithmetic on the header splits the data region into
 // z exact ranges in O(1), however large the file.
@@ -35,16 +35,7 @@ func (d *recordReader) fail(err error) {
 	d.remaining = 0
 }
 
-// Next implements Stream as a one-record batch.
-func (d *recordReader) Next() (graph.Edge, bool) {
-	var one [1]graph.Edge
-	if d.NextBatch(one[:]) == 0 {
-		return graph.Edge{}, false
-	}
-	return one[0], true
-}
-
-// NextBatch implements Batcher: up to len(dst) records decoded in one
+// NextBatch implements Stream: up to len(dst) records decoded in one
 // bounded read, directly into dst's backing memory.
 func (d *recordReader) NextBatch(dst []graph.Edge) int {
 	if d.err != nil || d.remaining == 0 || len(dst) == 0 {

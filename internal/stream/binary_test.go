@@ -79,17 +79,17 @@ func TestBinaryFileNextMatchesBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer bf.Close()
+	var one [1]graph.Edge
 	for i, want := range edges {
-		e, ok := bf.Next()
-		if !ok {
-			t.Fatalf("Next exhausted at edge %d of %d", i, len(edges))
+		if n := bf.NextBatch(one[:]); n != 1 {
+			t.Fatalf("one-edge batches exhausted at edge %d of %d", i, len(edges))
 		}
-		if e != want {
-			t.Fatalf("edge %d = %v, want %v", i, e, want)
+		if one[0] != want {
+			t.Fatalf("edge %d = %v, want %v", i, one[0], want)
 		}
 	}
-	if _, ok := bf.Next(); ok {
-		t.Error("Next yielded an edge past the declared count")
+	if n := bf.NextBatch(one[:]); n != 0 {
+		t.Error("NextBatch yielded an edge past the declared count")
 	}
 }
 

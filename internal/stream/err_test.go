@@ -41,11 +41,8 @@ func TestErrNilForInfallibleStreams(t *testing.T) {
 func TestErrForwardedThroughWrappers(t *testing.T) {
 	wrappers := map[string]func(Stream) Stream{
 		"buffered": func(s Stream) Stream { return NewBuffered(s, 4) },
-		"counted":  func(s Stream) Stream { return &Counted{Inner: s} },
-		"limit":    func(s Stream) Stream { return &Limit{Inner: s, Max: 100} },
-		"nested": func(s Stream) Stream {
-			return NewBuffered(&Counted{Inner: &Limit{Inner: s, Max: 100}}, 4)
-		},
+		"metered":  func(s Stream) Stream { return NewMetered(s, nil, nil) },
+		"nested":   func(s Stream) Stream { return NewBuffered(NewMetered(s, nil, nil), 4) },
 	}
 	for name, wrap := range wrappers {
 		t.Run(name, func(t *testing.T) {

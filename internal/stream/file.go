@@ -21,7 +21,10 @@ const maxLineBytes = 1024 * 1024
 // range plus the exact remaining count established by the counting pass.
 // It implements the stream error contract — a parse or scan failure zeroes
 // the remainder and is reported by Err, so exhaustion with a pending error
-// is distinguishable from clean completion.
+// is distinguishable from clean completion. It also holds the range to its
+// count: a data line past the count, or the end of the range with counted
+// edges unread, means the bytes changed after they were counted, and fails
+// the stream as a short binary read fails recordReader.
 type lineParser struct {
 	sc        *bufio.Scanner
 	remaining int64
@@ -42,19 +45,10 @@ func (p *lineParser) fail(err error) {
 	p.remaining = 0
 }
 
-// Next implements Stream as a one-edge batch. A malformed line terminates
-// the stream; the parse error is available via Err.
-func (p *lineParser) Next() (graph.Edge, bool) {
-	var one [1]graph.Edge
-	if p.NextBatch(one[:]) == 0 {
-		return graph.Edge{}, false
-	}
-	return one[0], true
-}
-
-// NextBatch implements Batcher: it parses up to len(dst) edges in one call,
+// NextBatch implements Stream: it parses up to len(dst) edges in one call,
 // touching the scanner in a tight loop so the per-edge cost is line parsing
-// alone rather than parsing plus interface dispatch per edge.
+// alone rather than parsing plus interface dispatch per edge. A malformed
+// line terminates the stream; the parse error is available via Err.
 func (p *lineParser) NextBatch(dst []graph.Edge) int {
 	if p.err != nil {
 		return 0
@@ -64,6 +58,10 @@ func (p *lineParser) NextBatch(dst []graph.Edge) int {
 		line := strings.TrimSpace(p.sc.Text())
 		if line == "" || line[0] == '#' || line[0] == '%' {
 			continue
+		}
+		if p.remaining == 0 {
+			p.fail(fmt.Errorf("stream: data line %q past the counted edges; the input changed after it was counted", line))
+			return n
 		}
 		fields := strings.Fields(line)
 		if len(fields) < 2 {
@@ -87,6 +85,8 @@ func (p *lineParser) NextBatch(dst []graph.Edge) int {
 	if n < len(dst) && p.err == nil {
 		if err := p.sc.Err(); err != nil {
 			p.fail(fmt.Errorf("stream: scanning edge list: %w", err))
+		} else if p.remaining != 0 {
+			p.fail(fmt.Errorf("stream: edge list ended with %d counted edges unread; the input changed after it was counted", p.remaining))
 		}
 	}
 	return n
@@ -118,7 +118,8 @@ func isDataLine(trimmed string) bool {
 // algorithm loads the data as a stream of graph edges".
 //
 // The edge count is established up front with a line count pass, exactly as
-// the paper suggests for condition (C2).
+// the paper suggests for condition (C2), and the stream fails if the file
+// then holds more or fewer data lines than were counted.
 type File struct {
 	f *os.File
 	lineParser

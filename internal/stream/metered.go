@@ -21,8 +21,8 @@ const (
 
 // Metered wraps a Stream, mirroring the edges drawn from it onto a live
 // telemetry counter and firing a hook exactly once at exhaustion. The
-// counter ticks once per batch on batch-capable inner streams, so the cost
-// is one atomic add per DefaultBatchSize edges, not per edge.
+// counter ticks once per batch, so the cost is one atomic add per
+// DefaultBatchSize edges, not per edge.
 type Metered struct {
 	inner Stream
 	edges *metric.Counter
@@ -36,22 +36,9 @@ func NewMetered(s Stream, edges *metric.Counter, done func()) *Metered {
 	return &Metered{inner: s, edges: edges, done: done}
 }
 
-// Next implements Stream.
-func (m *Metered) Next() (graph.Edge, bool) {
-	e, ok := m.inner.Next()
-	if ok {
-		if m.edges != nil {
-			m.edges.Inc(1)
-		}
-	} else {
-		m.exhausted()
-	}
-	return e, ok
-}
-
-// NextBatch implements Batcher: one counter tick per batch.
+// NextBatch implements Stream: one counter tick per batch.
 func (m *Metered) NextBatch(dst []graph.Edge) int {
-	n := NextBatch(m.inner, dst)
+	n := m.inner.NextBatch(dst)
 	if n > 0 {
 		if m.edges != nil {
 			m.edges.Inc(int64(n))

@@ -49,18 +49,16 @@ func TestMeteredCountsBatches(t *testing.T) {
 	}
 	// Further exhausted reads never re-fire the hook.
 	m.NextBatch(buf[:])
-	if _, ok := m.Next(); ok || doneFires != 1 {
-		t.Errorf("post-exhaustion read: ok=%v doneFires=%d, want false/1", ok, doneFires)
+	if n := m.NextBatch(buf[:]); n != 0 || doneFires != 1 {
+		t.Errorf("post-exhaustion read: n=%d doneFires=%d, want 0/1", n, doneFires)
 	}
 }
 
 func TestMeteredCountsSingleDraws(t *testing.T) {
 	edges, reg := meteredFixture(5)
 	m := NewMetered(FromEdges(edges), reg.Counter(MetricEdgesRead), nil)
-	for {
-		if _, ok := m.Next(); !ok {
-			break
-		}
+	var one [1]graph.Edge
+	for m.NextBatch(one[:]) > 0 {
 	}
 	if got := counterOf(t, reg, MetricEdgesRead); got != 5 {
 		t.Errorf("%s = %d, want 5", MetricEdgesRead, got)

@@ -45,7 +45,7 @@ func (f Format) String() string {
 // streaming, the stream error contract, and a close. File, Segment, and
 // BinaryFile all implement it; consumers dispatch on nothing else.
 type FileStream interface {
-	Batcher
+	Stream
 	Errer
 	Close() error
 }

@@ -13,7 +13,7 @@ import (
 // splits the file into z byte ranges aligned to line boundaries in a
 // single counting pass — the same pass that makes Remaining exact for
 // condition (C2) — and Segment streams one range via seek + bounded read
-// behind the same Batcher interface as File. No instance ever holds the
+// behind the same FileStream interface as File. No instance ever holds the
 // full edge list, which is what lets z loaders cover a graph file far
 // larger than any one machine's memory.
 
@@ -163,8 +163,8 @@ func fileSize(path string) (int64, error) {
 // Segment streams the edges of one planned byte range of a text edge
 // list: seek to Start, then a read bounded at End. Ranges from the same
 // plan never overlap, so z concurrent segments cover the file exactly
-// once. It implements Batcher and the stream error contract exactly like
-// File.
+// once. It implements Stream and the stream error contract exactly like
+// File, and fails if the range holds more or fewer edges than planned.
 type Segment struct {
 	f *os.File
 	lineParser
@@ -197,8 +197,8 @@ func OpenSegment(r Range) (FileStream, error) {
 }
 
 func openTextSegment(r Range) (*Segment, error) {
-	if r.Start < 0 || r.End < r.Start {
-		return nil, fmt.Errorf("stream: invalid segment range [%d,%d) of %s", r.Start, r.End, r.Path)
+	if r.Start < 0 || r.End < r.Start || r.Edges < 0 {
+		return nil, fmt.Errorf("stream: invalid segment range [%d,%d) of %s holding %d edges", r.Start, r.End, r.Path, r.Edges)
 	}
 	f, err := os.Open(r.Path)
 	if err != nil {

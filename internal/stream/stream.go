@@ -1,10 +1,12 @@
 // Package stream models the edge stream of the streaming-partitioning model
 // (§II-B of the paper): a single ordered pass over the edges of a graph.
 //
-// Streams expose an optional length hint, which ADWISE's adaptive window
+// Every stream reports its exact length, which ADWISE's adaptive window
 // condition (C2) uses to estimate the remaining per-edge latency budget
 // (the paper notes the graph size "is usually known or can be determined
-// efficiently using line count on the graph file").
+// efficiently using line count on the graph file"): slices know theirs,
+// text files count their data lines before streaming, binary files read
+// it from the header, and segments take it from the plan.
 package stream
 
 import (
@@ -14,21 +16,15 @@ import (
 	"github.com/adwise-go/adwise/internal/graph"
 )
 
-// Stream is a single-pass sequence of edges.
+// Stream is a single-pass sequence of edges of known length.
 type Stream interface {
-	// Next returns the next edge. ok is false when the stream is exhausted.
-	Next() (e graph.Edge, ok bool)
-	// Remaining returns the number of edges left, or -1 if unknown.
-	Remaining() int64
-}
-
-// Batcher is a Stream that can deliver many edges per call, amortizing the
-// per-edge interface-dispatch cost of Next over a whole batch. A NextBatch
-// call fills dst from the front and returns the number of edges written;
-// zero means the stream is exhausted. Short non-zero reads are allowed.
-type Batcher interface {
-	Stream
+	// NextBatch fills dst from the front and returns the number of edges
+	// written; zero means the stream is exhausted (dst must be
+	// non-empty). Short non-zero reads are allowed.
 	NextBatch(dst []graph.Edge) int
+	// Remaining returns the exact number of edges left, never a negative
+	// guess. A stream that has failed (see Errer) reports 0.
+	Remaining() int64
 }
 
 // Errer is the error-reporting side of a fallible Stream. A stream that can
@@ -44,8 +40,8 @@ type Errer interface {
 
 // Err returns the pending stream error of s: the Errer error if s reports
 // one, nil for streams that cannot fail (slices) or have not failed.
-// Wrappers (Buffered, Counted, Limit) forward their inner stream's error
-// state, so checking the outermost stream suffices.
+// Wrappers (Buffered, Metered) forward their inner stream's error state,
+// so checking the outermost stream suffices.
 func Err(s Stream) error {
 	if e, ok := s.(Errer); ok {
 		return e.Err()
@@ -53,37 +49,28 @@ func Err(s Stream) error {
 	return nil
 }
 
-// NextBatch fills dst from s, using the stream's native batch support when
-// available and falling back to a per-edge Next loop otherwise. It returns
-// the number of edges written; zero means exhaustion (dst must be
-// non-empty).
-func NextBatch(s Stream, dst []graph.Edge) int {
-	if b, ok := s.(Batcher); ok {
-		return b.NextBatch(dst)
+// Len returns s.Remaining(), or an error if s breaks the Stream contract
+// by reporting a negative length. Consumers size their output from it
+// before the first edge is drawn.
+func Len(s Stream) (int64, error) {
+	n := s.Remaining()
+	if n < 0 {
+		return 0, fmt.Errorf("stream: Remaining() = %d breaks the Stream contract: a stream reports its exact, non-negative length", n)
 	}
-	n := 0
-	for n < len(dst) {
-		e, ok := s.Next()
-		if !ok {
-			break
-		}
-		dst[n] = e
-		n++
-	}
-	return n
+	return n, nil
 }
 
 // Collect drains s into a new edge slice, batch-wise. A stream that fails
 // mid-pass returns the error, not a silently-short slice.
 func Collect(s Stream) ([]graph.Edge, error) {
-	hint := s.Remaining()
-	if hint < 0 {
-		hint = 1024
+	m, err := Len(s)
+	if err != nil {
+		return nil, err
 	}
-	out := make([]graph.Edge, 0, hint)
+	out := make([]graph.Edge, 0, m)
 	var buf [512]graph.Edge
 	for {
-		n := NextBatch(s, buf[:])
+		n := s.NextBatch(buf[:])
 		if n == 0 {
 			if err := Err(s); err != nil {
 				return nil, fmt.Errorf("stream: collecting after %d edges: %w", len(out), err)
@@ -112,17 +99,7 @@ func FromGraph(g *graph.Graph) *Slice {
 	return &Slice{edges: g.Edges}
 }
 
-// Next implements Stream.
-func (s *Slice) Next() (graph.Edge, bool) {
-	if s.pos >= len(s.edges) {
-		return graph.Edge{}, false
-	}
-	e := s.edges[s.pos]
-	s.pos++
-	return e, true
-}
-
-// NextBatch implements Batcher: a single copy out of the backing slice.
+// NextBatch implements Stream: a single copy out of the backing slice.
 func (s *Slice) NextBatch(dst []graph.Edge) int {
 	n := copy(dst, s.edges[s.pos:])
 	s.pos += n
@@ -198,87 +175,8 @@ func Chunks(edges []graph.Edge, z int) [][]graph.Edge {
 	return chunks
 }
 
-// Counted wraps a Stream and counts the edges drawn from it.
-type Counted struct {
-	Inner Stream
-	N     int64
-}
-
-// Next implements Stream.
-func (c *Counted) Next() (graph.Edge, bool) {
-	e, ok := c.Inner.Next()
-	if ok {
-		c.N++
-	}
-	return e, ok
-}
-
-// NextBatch implements Batcher, delegating to the inner stream's batch
-// support.
-func (c *Counted) NextBatch(dst []graph.Edge) int {
-	n := NextBatch(c.Inner, dst)
-	c.N += int64(n)
-	return n
-}
-
-// Remaining implements Stream.
-func (c *Counted) Remaining() int64 { return c.Inner.Remaining() }
-
-// Err implements Errer, forwarding the inner stream's error state.
-func (c *Counted) Err() error { return Err(c.Inner) }
-
-// Limit wraps a Stream and stops after max edges; used in failure-injection
-// tests to model truncated inputs.
-type Limit struct {
-	Inner Stream
-	Max   int64
-	drawn int64
-}
-
-// Next implements Stream.
-func (l *Limit) Next() (graph.Edge, bool) {
-	if l.drawn >= l.Max {
-		return graph.Edge{}, false
-	}
-	e, ok := l.Inner.Next()
-	if ok {
-		l.drawn++
-	}
-	return e, ok
-}
-
-// NextBatch implements Batcher, capping the batch at the edges left under
-// Max.
-func (l *Limit) NextBatch(dst []graph.Edge) int {
-	left := l.Max - l.drawn
-	if left <= 0 {
-		return 0
-	}
-	if int64(len(dst)) > left {
-		dst = dst[:left]
-	}
-	n := NextBatch(l.Inner, dst)
-	l.drawn += int64(n)
-	return n
-}
-
-// Remaining implements Stream.
-func (l *Limit) Remaining() int64 {
-	r := l.Inner.Remaining()
-	if r < 0 {
-		return -1
-	}
-	if left := l.Max - l.drawn; left < r {
-		return left
-	}
-	return r
-}
-
-// Err implements Errer, forwarding the inner stream's error state.
-func (l *Limit) Err() error { return Err(l.Inner) }
-
 // Buffered adapts any Stream into one whose Next is a cheap slice read:
-// edges are pulled from the inner stream a batch at a time via NextBatch.
+// edges are pulled from the inner stream a batch at a time.
 // Consumers that must inspect edges one by one (the ADWISE window refill)
 // hold a concrete *Buffered so the per-edge call devirtualizes, while the
 // inner stream is only touched once per batch.
@@ -305,14 +203,15 @@ func NewBuffered(s Stream, size int) *Buffered {
 	return &Buffered{inner: s, buf: make([]graph.Edge, 0, size)}
 }
 
-// Next implements Stream from the buffer, refilling batch-wise.
-func (b *Buffered) Next() (graph.Edge, bool) {
+// Next returns the next edge from the buffer, refilling it batch-wise; ok
+// is false when the stream is exhausted.
+func (b *Buffered) Next() (e graph.Edge, ok bool) {
 	if b.pos >= len(b.buf) {
 		if b.done {
 			return graph.Edge{}, false
 		}
 		b.buf = b.buf[:cap(b.buf)]
-		n := NextBatch(b.inner, b.buf)
+		n := b.inner.NextBatch(b.buf)
 		b.buf = b.buf[:n]
 		b.pos = 0
 		if n == 0 {
@@ -320,12 +219,12 @@ func (b *Buffered) Next() (graph.Edge, bool) {
 			return graph.Edge{}, false
 		}
 	}
-	e := b.buf[b.pos]
+	e = b.buf[b.pos]
 	b.pos++
 	return e, true
 }
 
-// NextBatch implements Batcher: buffered edges first, then straight from
+// NextBatch implements Stream: buffered edges first, then straight from
 // the inner stream without double-copying.
 func (b *Buffered) NextBatch(dst []graph.Edge) int {
 	if b.pos < len(b.buf) {
@@ -336,7 +235,7 @@ func (b *Buffered) NextBatch(dst []graph.Edge) int {
 	if b.done {
 		return 0
 	}
-	n := NextBatch(b.inner, dst)
+	n := b.inner.NextBatch(dst)
 	if n == 0 {
 		b.done = true
 	}
@@ -347,15 +246,7 @@ func (b *Buffered) NextBatch(dst []graph.Edge) int {
 // buffered but not yet handed out, so latency accounting (condition C2)
 // stays exact under batching.
 func (b *Buffered) Remaining() int64 {
-	pending := int64(len(b.buf) - b.pos)
-	r := b.inner.Remaining()
-	if r < 0 {
-		if b.done {
-			return pending
-		}
-		return -1
-	}
-	return r + pending
+	return b.inner.Remaining() + int64(len(b.buf)-b.pos)
 }
 
 // Err implements Errer, forwarding the inner stream's error state: a

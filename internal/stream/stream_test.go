@@ -17,15 +17,17 @@ func edgesN(n int) []graph.Edge {
 	return out
 }
 
+// drain reads s to exhaustion in batches of three edges.
 func drain(t *testing.T, s Stream) []graph.Edge {
 	t.Helper()
 	var out []graph.Edge
+	var buf [3]graph.Edge
 	for {
-		e, ok := s.Next()
-		if !ok {
+		n := s.NextBatch(buf[:])
+		if n == 0 {
 			return out
 		}
-		out = append(out, e)
+		out = append(out, buf[:n]...)
 	}
 }
 
@@ -44,8 +46,8 @@ func TestSliceStreamOrderAndRemaining(t *testing.T) {
 	if got := s.Remaining(); got != 0 {
 		t.Errorf("Remaining after drain = %d, want 0", got)
 	}
-	if _, ok := s.Next(); ok {
-		t.Error("Next on exhausted stream returned ok")
+	if n := s.NextBatch(make([]graph.Edge, 1)); n != 0 {
+		t.Errorf("NextBatch on exhausted stream = %d, want 0", n)
 	}
 }
 
@@ -160,24 +162,6 @@ func TestQuickChunksCoverage(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestCountedStream(t *testing.T) {
-	c := &Counted{Inner: FromEdges(edgesN(4))}
-	drain(t, c)
-	if c.N != 4 {
-		t.Errorf("Counted.N = %d, want 4", c.N)
-	}
-}
-
-func TestLimitStream(t *testing.T) {
-	l := &Limit{Inner: FromEdges(edgesN(10)), Max: 3}
-	if got := l.Remaining(); got != 3 {
-		t.Errorf("Remaining = %d, want 3", got)
-	}
-	if got := len(drain(t, l)); got != 3 {
-		t.Errorf("drained %d edges, want 3", got)
 	}
 }
 
