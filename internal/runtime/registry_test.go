@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -240,4 +241,34 @@ func TestRunStrategySpotlightDefaultsSpecK(t *testing.T) {
 		t.Errorf("assigned %d of %d edges", a.Len(), g.E())
 	}
 	var _ *metrics.Assignment = a
+}
+
+// unsizedStream breaks the Stream contract: it streams its edges but
+// answers Remaining with -1.
+type unsizedStream struct{ *stream.Slice }
+
+func (unsizedStream) Remaining() int64 { return -1 }
+
+// TestNegativeRemainingIsAnError pins the Stream contract at each
+// consumer: ADWISE (core.Run), a single-edge strategy (partition.Run) and
+// NE (stream.Collect) reject a stream that reports a negative length with
+// an error naming the contract, rather than guessing a length or
+// panicking.
+func TestNegativeRemainingIsAnError(t *testing.T) {
+	edges := clusteredGraph(t).Edges
+	for _, name := range []string{"adwise", "hdrf", "ne"} {
+		t.Run(name, func(t *testing.T) {
+			s, err := New(name, Spec{K: 4, Window: 16})
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, err := s.Run(unsizedStream{stream.FromEdges(edges)})
+			if err == nil {
+				t.Fatalf("ran a stream that reports Remaining -1 and assigned %d edges", a.Len())
+			}
+			if !strings.Contains(err.Error(), "Stream contract") {
+				t.Errorf("error %q does not name the Stream contract", err)
+			}
+		})
+	}
 }

@@ -290,3 +290,38 @@ func TestSingleInstanceSourcesMatchDirectRun(t *testing.T) {
 		}
 	}
 }
+
+// TestFileStreamsFailWhenTextChangesAfterPlanning pins the planned counts
+// end to end: a data line of a planned text file that turns into a
+// comment of the same length before its segment streams it leaves that
+// segment an edge short of its plan, and the run must fail rather than
+// partition what is left.
+func TestFileStreamsFailWhenTextChangesAfterPlanning(t *testing.T) {
+	for _, name := range []string{"hdrf", "adwise"} {
+		t.Run(name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "g.txt")
+			writeBigEdgeFile(t, path, 64, 1<<10) // 16-byte lines
+			cfg := SpotlightConfig{K: 4, Z: 2, Spread: 2}
+			streams, closeAll, err := OpenFileStreams(path, cfg.Z, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer closeAll()
+			f, err := os.OpenFile(path, os.O_WRONLY, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = f.WriteAt([]byte("#"), 40*16) // line 40 lies in the second segment
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, _, err := RunSpotlightStreamsStats(streams, cfg, cfg.Instances(name, Spec{Window: 8}))
+			if err == nil {
+				t.Fatalf("a file that lost a planned edge partitioned as %d edges with no error", a.Len())
+			}
+		})
+	}
+}

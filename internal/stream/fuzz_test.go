@@ -61,6 +61,25 @@ func FuzzLineParser(f *testing.F) {
 			t.Fatalf("batch-size dependence: batch=512 -> (%d, %v), batch=1 -> (%d, %v)",
 				gotBig, errBig, gotOne, errOne)
 		}
+
+		// The parser holds its range to the count it was given: with one
+		// edge more or one fewer expected than the data holds, the parse
+		// must fail rather than end cleanly.
+		for _, off := range []int64{-1, 1} {
+			if count+off < 0 {
+				continue
+			}
+			p := newLineParser(bytes.NewReader(data), count+off)
+			buf := make([]graph.Edge, 7)
+			for p.NextBatch(buf) > 0 {
+			}
+			if p.err == nil {
+				t.Fatalf("parsed cleanly against a count of %d; the data holds %d edges", count+off, count)
+			}
+			if p.Remaining() != 0 {
+				t.Fatalf("Remaining = %d after a count mismatch, want 0", p.Remaining())
+			}
+		}
 	})
 }
 
