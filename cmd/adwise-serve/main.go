@@ -17,22 +17,40 @@
 //
 // API: GET /v1/edge?src=S&dst=D, GET /v1/vertex?v=V, POST /v1/edges
 // (batch), GET /v1/stats, GET /healthz.
+//
+// On SIGTERM or SIGINT the service stops accepting connections, lets the
+// requests in flight finish (for at most shutdownGrace), writes the final
+// -metrics-out snapshot and exits 0.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
+	"os/signal"
 	"strings"
+	"syscall"
 	"time"
 
 	adwise "github.com/adwise-go/adwise"
 )
 
+// stopSignals are the signals on which the service shuts down cleanly.
+var stopSignals = []os.Signal{os.Interrupt, syscall.SIGTERM}
+
+// shutdownGrace bounds how long a stopping service waits for the requests
+// in flight before it closes their connections and fails.
+const shutdownGrace = 10 * time.Second
+
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	ctx, stop := signal.NotifyContext(context.Background(), stopSignals...)
+	err := run(ctx, os.Args[1:], os.Stdout)
+	stop()
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "adwise-serve:", err)
 		os.Exit(1)
 	}
@@ -139,7 +157,11 @@ func newHandler(store *adwise.LookupStore, ins *adwise.ServeInstruments, o optio
 	return mux
 }
 
-func run(args []string) error {
+// run serves until the listener fails or ctx is done. When ctx is done it
+// shuts the server down, waiting for the requests in flight, and returns
+// nil once they have finished; the deferred flush then writes the final
+// -metrics-out snapshot.
+func run(ctx context.Context, args []string, stdout io.Writer) error {
 	o, err := parseArgs(args)
 	if err != nil {
 		return err
@@ -149,7 +171,7 @@ func run(args []string) error {
 		return err
 	}
 	st := store.View().Stats()
-	fmt.Printf("index ready: k=%d edges=%d vertices=%d RF=%.3f shards=%d\n",
+	fmt.Fprintf(stdout, "index ready: k=%d edges=%d vertices=%d RF=%.3f shards=%d\n",
 		st.K, st.DistinctEdges, st.Vertices, st.ReplicationDegree, st.Shards)
 
 	// The service is always instrumented (GET /v1/metrics, metrics in
@@ -173,6 +195,22 @@ func run(args []string) error {
 		return err
 	}
 	defer ln.Close()
-	fmt.Printf("serving partition lookups on http://%s\n", ln.Addr())
-	return adwise.NewLookupServer(newHandler(store, ins, o)).Serve(ln)
+	fmt.Fprintf(stdout, "serving partition lookups on http://%s\n", ln.Addr())
+	srv := adwise.NewLookupServer(newHandler(store, ins, o))
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	select {
+	case err := <-served:
+		return err
+	case <-ctx.Done():
+	}
+	// Nothing goes to stdout from here on: whoever sent the signal may
+	// have closed it already.
+	sctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
+	defer cancel()
+	if err := srv.Shutdown(sctx); err != nil {
+		srv.Close()
+		return fmt.Errorf("shutting down with requests still in flight: %w", err)
+	}
+	return nil
 }

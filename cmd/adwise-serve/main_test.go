@@ -1,16 +1,23 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"os/signal"
 	"path/filepath"
 	"strconv"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	adwise "github.com/adwise-go/adwise"
 )
@@ -269,7 +276,7 @@ func TestRunErrors(t *testing.T) {
 		{"-assignment", parts, "-addr", "bogus:x"},    // unlistenable address
 	}
 	for _, args := range tests {
-		if err := run(args); err == nil {
+		if err := run(context.Background(), args, io.Discard); err == nil {
 			t.Errorf("run(%v) succeeded, want error", args)
 		}
 	}
@@ -280,7 +287,7 @@ func TestRunErrors(t *testing.T) {
 		{"-in", "/nonexistent.txt", "-k", "32", "-z", "3"},
 		{"-in", "/nonexistent.txt", "-k", "4", "-spread", "2"},
 	} {
-		if err := run(args); err == nil || strings.Contains(err.Error(), "nonexistent") {
+		if err := run(context.Background(), args, io.Discard); err == nil || strings.Contains(err.Error(), "nonexistent") {
 			t.Errorf("run(%v) = %v, want the config error before the file is planned", args, err)
 		}
 	}
@@ -288,8 +295,175 @@ func TestRunErrors(t *testing.T) {
 	// missing file.
 	for _, z := range []string{"1", "2"} {
 		args := []string{"-in", "/nonexistent.txt", "-k", "4", "-z", z, "-algo", "bogus"}
-		if err := run(args); err == nil || !strings.Contains(err.Error(), "bogus") || strings.Contains(err.Error(), "nonexistent") {
+		if err := run(context.Background(), args, io.Discard); err == nil || !strings.Contains(err.Error(), "bogus") || strings.Contains(err.Error(), "nonexistent") {
 			t.Errorf("run(%v) = %v, want the unknown strategy before the file is planned", args, err)
 		}
+	}
+}
+
+// addrWriter stands in for run's stdout and passes on the listen address
+// it prints.
+type addrWriter chan string
+
+func (w addrWriter) Write(p []byte) (int, error) {
+	if _, addr, ok := strings.Cut(string(p), "serving partition lookups on http://"); ok {
+		w <- strings.TrimSpace(addr)
+	}
+	return len(p), nil
+}
+
+// metricsSnapshot is the part of a -metrics-out line the shutdown test
+// reads.
+type metricsSnapshot struct {
+	Counters []struct {
+		Name  string `json:"name"`
+		Value int64  `json:"value"`
+	} `json:"counters"`
+	Timers []struct {
+		Name  string `json:"name"`
+		Count int64  `json:"count"`
+	} `json:"timers"`
+}
+
+func (s metricsSnapshot) counter(name string) int64 {
+	for _, c := range s.Counters {
+		if c.Name == name {
+			return c.Value
+		}
+	}
+	return 0
+}
+
+func (s metricsSnapshot) timerCount(name string) int64 {
+	for _, t := range s.Timers {
+		if t.Name == name {
+			return t.Count
+		}
+	}
+	return 0
+}
+
+// batchRequestsStarted asks the server how many batch requests its
+// handler has begun.
+func batchRequestsStarted(t *testing.T, addr string) int64 {
+	t.Helper()
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	resp, err := client.Get("http://" + addr + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var snap metricsSnapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	return snap.counter("serve.edges.requests")
+}
+
+// TestServeStopsCleanlyOnSignal sends half the body of a batch request,
+// then a stop signal. The server must stop accepting connections, answer
+// the request once its body is complete, return nil from run, and write a
+// final -metrics-out snapshot that counts the request.
+func TestServeStopsCleanlyOnSignal(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		sig  syscall.Signal
+	}{{"SIGTERM", syscall.SIGTERM}, {"SIGINT", syscall.SIGINT}} {
+		t.Run(c.name, func(t *testing.T) {
+			_, parts, a := writeFixtures(t)
+			metricsOut := filepath.Join(t.TempDir(), "metrics.jsonl")
+			ctx, stop := signal.NotifyContext(context.Background(), stopSignals...)
+			defer stop()
+			addrs := make(addrWriter, 1)
+			done := make(chan error, 1)
+			go func() {
+				done <- run(ctx, []string{"-assignment", parts, "-addr", "127.0.0.1:0", "-metrics-out", metricsOut}, addrs)
+			}()
+			var addr string
+			select {
+			case addr = <-addrs:
+			case err := <-done:
+				t.Fatalf("run returned before serving: %v", err)
+			}
+			finished := false
+			defer func() {
+				if !finished {
+					stop()
+					<-done
+				}
+			}()
+
+			edges := a.Edges[:8]
+			var body strings.Builder
+			body.WriteString(`{"edges":[`)
+			for i, e := range edges {
+				if i > 0 {
+					body.WriteByte(',')
+				}
+				fmt.Fprintf(&body, "[%d,%d]", e.Src, e.Dst)
+			}
+			body.WriteString(`]}`)
+			half := body.Len() / 2
+
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			fmt.Fprintf(conn, "POST /v1/edges HTTP/1.1\r\nHost: %s\r\nContent-Type: application/json\r\nContent-Length: %d\r\n\r\n%s",
+				addr, body.Len(), body.String()[:half])
+			for batchRequestsStarted(t, addr) == 0 {
+				time.Sleep(time.Millisecond)
+			}
+
+			if err := syscall.Kill(os.Getpid(), c.sig); err != nil {
+				t.Fatal(err)
+			}
+			// The listener closes as the shutdown begins.
+			for {
+				probe, err := net.Dial("tcp", addr)
+				if err != nil {
+					break
+				}
+				probe.Close()
+				time.Sleep(time.Millisecond)
+			}
+			if _, err := io.WriteString(conn, body.String()[half:]); err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+			if err != nil {
+				t.Fatalf("in-flight request cut by the shutdown: %v", err)
+			}
+			var out struct {
+				Partitions []int32 `json:"partitions"`
+			}
+			err = json.NewDecoder(resp.Body).Decode(&out)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK || err != nil || len(out.Partitions) != len(edges) {
+				t.Fatalf("in-flight request: status %d, %d partitions for %d edges (%v)", resp.StatusCode, len(out.Partitions), len(edges), err)
+			}
+
+			err = <-done
+			finished = true
+			if err != nil {
+				t.Fatalf("run after %s = %v, want nil", c.name, err)
+			}
+			data, err := os.ReadFile(metricsOut)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+			var last metricsSnapshot
+			if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil {
+				t.Fatal(err)
+			}
+			if got := last.counter("serve.edges.requests"); got != 1 {
+				t.Errorf("final snapshot counts %d batch requests, want 1", got)
+			}
+			if got := last.timerCount("serve.edges.latency"); got != 1 {
+				t.Errorf("final snapshot times %d finished batch requests, want 1", got)
+			}
+		})
 	}
 }
