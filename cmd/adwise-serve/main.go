@@ -208,8 +208,12 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	// have closed it already.
 	sctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
 	defer cancel()
-	if err := srv.Shutdown(sctx); err != nil {
+	err = srv.Shutdown(sctx)
+	if err != nil {
 		srv.Close()
+	}
+	<-served // Serve returns as soon as the shutdown closes the listener
+	if err != nil {
 		return fmt.Errorf("shutting down with requests still in flight: %w", err)
 	}
 	return nil

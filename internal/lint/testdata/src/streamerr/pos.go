@@ -21,9 +21,9 @@ func DrainSilently(s stream.Stream) []graph.Edge {
 	}
 }
 
-// DrainBatcherSilently drains a file stream and never consults its Err
+// DrainFileSilently drains a file stream and never consults its Err
 // method.
-func DrainBatcherSilently(b stream.FileStream, buf []graph.Edge) int64 {
+func DrainFileSilently(b stream.FileStream, buf []graph.Edge) int64 {
 	var total int64
 	for {
 		n := b.NextBatch(buf) // want "drains a stream to exhaustion without checking Err"

@@ -203,9 +203,9 @@ func NewBuffered(s Stream, size int) *Buffered {
 	return &Buffered{inner: s, buf: make([]graph.Edge, 0, size)}
 }
 
-// Next returns the next edge from the buffer, refilling it batch-wise; ok
-// is false when the stream is exhausted.
-func (b *Buffered) Next() (e graph.Edge, ok bool) {
+// Next returns the next edge from the buffer, refilling it batch-wise;
+// the bool is false when the stream is exhausted.
+func (b *Buffered) Next() (graph.Edge, bool) {
 	if b.pos >= len(b.buf) {
 		if b.done {
 			return graph.Edge{}, false
@@ -219,7 +219,7 @@ func (b *Buffered) Next() (e graph.Edge, ok bool) {
 			return graph.Edge{}, false
 		}
 	}
-	e = b.buf[b.pos]
+	e := b.buf[b.pos]
 	b.pos++
 	return e, true
 }

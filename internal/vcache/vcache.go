@@ -68,8 +68,8 @@ func slotsFor(vertices int) uint64 {
 // uses. An edge introduces at most two vertices, and the evaluation
 // graphs average ≥ 8 incident edges per vertex, so edges/4 is a
 // conservative table reservation: an undershoot costs at most a couple of
-// doubling rehashes, an overshoot costs idle slots. Non-positive edge
-// counts (unknown length) hint 0, which leaves the table at its minimum.
+// doubling rehashes, an overshoot costs idle slots. A non-positive edge
+// count hints 0, which leaves the table at its minimum.
 func VerticesHintForEdges(edges int64) int {
 	if edges <= 0 {
 		return 0
