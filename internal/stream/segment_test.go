@@ -96,6 +96,9 @@ func TestOpenSegmentRejectsInvalidRange(t *testing.T) {
 	if _, err := OpenSegment(Range{Path: path, Start: -1, End: 2}); err == nil {
 		t.Error("negative start accepted")
 	}
+	if _, err := OpenSegment(Range{Path: path, Start: 0, End: 4, Edges: -1}); err == nil {
+		t.Error("negative edge count accepted")
+	}
 }
 
 func TestSegmentForwardsParseErrors(t *testing.T) {
