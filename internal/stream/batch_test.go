@@ -155,3 +155,46 @@ func TestFileNextBatchMalformedStops(t *testing.T) {
 		t.Error("batch after error returned edges")
 	}
 }
+
+// Chunks edge cases: z exceeding the edge count and empty input.
+func TestChunksMoreChunksThanEdges(t *testing.T) {
+	edges := edgesN(3)
+	chunks := Chunks(edges, 8)
+	if len(chunks) != 3 {
+		t.Fatalf("Chunks(3 edges, z=8) returned %d chunks, want 3", len(chunks))
+	}
+	for i, ch := range chunks {
+		if len(ch) != 1 {
+			t.Errorf("chunk %d has %d edges, want 1", i, len(ch))
+		}
+	}
+}
+
+func TestChunksEmptyInput(t *testing.T) {
+	if chunks := Chunks(nil, 4); chunks != nil {
+		t.Errorf("Chunks(nil, 4) = %v, want nil", chunks)
+	}
+	if chunks := Chunks([]graph.Edge{}, 0); chunks != nil {
+		t.Errorf("Chunks(empty, 0) = %v, want nil", chunks)
+	}
+}
+
+func TestInterleaveEmptyAndOversizedBlocks(t *testing.T) {
+	if out := Interleave(nil, 4); len(out) != 0 {
+		t.Errorf("Interleave(nil, 4) returned %d edges", len(out))
+	}
+	edges := edgesN(3)
+	out := Interleave(edges, 10)
+	if len(out) != 3 {
+		t.Fatalf("Interleave(3 edges, 10 blocks) returned %d edges", len(out))
+	}
+	seen := make(map[graph.Edge]bool)
+	for _, e := range out {
+		seen[e] = true
+	}
+	for _, e := range edges {
+		if !seen[e] {
+			t.Errorf("edge %v lost by oversized-block interleave", e)
+		}
+	}
+}
