@@ -101,9 +101,11 @@ func parseArgs(args []string) (options, error) {
 }
 
 // buildStore produces the serving store for the parsed options: load the
-// assignment TSV, or partition the input graph via the registry first.
-func buildStore(o options) (*adwise.LookupStore, error) {
-	a, err := loadAssignment(o)
+// assignment TSV, or partition the input graph via the registry first,
+// publishing the run's ingest progress and stats onto reg (nil disables
+// them).
+func buildStore(o options, reg *adwise.MetricRegistry) (*adwise.LookupStore, error) {
+	a, err := loadAssignment(o, reg)
 	if err != nil {
 		return nil, err
 	}
@@ -114,7 +116,7 @@ func buildStore(o options) (*adwise.LookupStore, error) {
 	return adwise.NewLookupStore(idx), nil
 }
 
-func loadAssignment(o options) (*adwise.Assignment, error) {
+func loadAssignment(o options, reg *adwise.MetricRegistry) (*adwise.Assignment, error) {
 	if o.assignment != "" {
 		return adwise.LoadAssignment(o.assignment)
 	}
@@ -123,7 +125,7 @@ func loadAssignment(o options) (*adwise.Assignment, error) {
 		spread = o.k / o.z
 	}
 	cfg := adwise.SpotlightConfig{K: o.k, Z: o.z, Spread: spread}
-	spec := adwise.StrategySpec{K: o.k, Seed: o.seed, Latency: o.latency, Window: o.window}
+	spec := adwise.StrategySpec{K: o.k, Seed: o.seed, Latency: o.latency, Window: o.window, Metrics: reg}
 	return adwise.PartitionFileSpotlight(o.algo, o.in, cfg, spec)
 }
 
@@ -166,16 +168,10 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	store, err := buildStore(o)
-	if err != nil {
-		return err
-	}
-	st := store.View().Stats()
-	fmt.Fprintf(stdout, "index ready: k=%d edges=%d vertices=%d RF=%.3f shards=%d\n",
-		st.K, st.DistinctEdges, st.Vertices, st.ReplicationDegree, st.Shards)
 
 	// The service is always instrumented (GET /v1/metrics, metrics in
-	// /v1/stats); -metrics-out additionally samples the registry to a
+	// /v1/stats), and so is an -in partition run, as adwise -metrics-out
+	// instruments it; -metrics-out additionally samples the registry to a
 	// JSON-lines file once per second.
 	reg := adwise.NewMetricRegistry()
 	ins := adwise.NewServeInstruments(reg)
@@ -189,6 +185,14 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		flusher.Start()
 		defer flusher.Stop()
 	}
+
+	store, err := buildStore(o, reg)
+	if err != nil {
+		return err
+	}
+	st := store.View().Stats()
+	fmt.Fprintf(stdout, "index ready: k=%d edges=%d vertices=%d RF=%.3f shards=%d\n",
+		st.K, st.DistinctEdges, st.Vertices, st.ReplicationDegree, st.Shards)
 
 	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {

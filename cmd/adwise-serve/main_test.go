@@ -54,7 +54,7 @@ func TestServeFromAssignment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := buildStore(o)
+	store, err := buildStore(o, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestServeFromGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := buildStore(o)
+	store, err := buildStore(o, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestServeFromFileMatchesAdwise(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				served, err := loadAssignment(o)
+				served, err := loadAssignment(o, nil)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -358,6 +358,46 @@ func batchRequestsStarted(t *testing.T, addr string) int64 {
 		t.Fatal(err)
 	}
 	return snap.counter("serve.edges.requests")
+}
+
+// TestServeMetricsOutPublishesRunStats checks that with -in the final
+// -metrics-out snapshot carries the partition run's stats and ingest
+// counters at every z, as adwise -metrics-out does.
+func TestServeMetricsOutPublishesRunStats(t *testing.T) {
+	graphPath, _, a := writeFixtures(t)
+	for _, z := range []string{"1", "2"} {
+		metricsOut := filepath.Join(t.TempDir(), "metrics.jsonl")
+		ctx, cancel := context.WithCancel(context.Background())
+		addrs := make(addrWriter, 1)
+		done := make(chan error, 1)
+		go func() {
+			done <- run(ctx, []string{"-in", graphPath, "-k", "4", "-z", z, "-algo", "hdrf", "-addr", "127.0.0.1:0", "-metrics-out", metricsOut}, addrs)
+		}()
+		select {
+		case <-addrs:
+			cancel()
+		case err := <-done:
+			cancel()
+			t.Fatalf("-z %s: run returned before serving: %v", z, err)
+		}
+		if err := <-done; err != nil {
+			t.Fatalf("-z %s: run = %v, want nil", z, err)
+		}
+		data, err := os.ReadFile(metricsOut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+		var last metricsSnapshot
+		if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil {
+			t.Fatalf("-z %s: final snapshot: %v", z, err)
+		}
+		for _, name := range []string{"runtime.assignments", "stream.edges_read"} {
+			if got := last.counter(name); got != int64(a.Len()) {
+				t.Errorf("-z %s: final %s = %d, want %d", z, name, got, a.Len())
+			}
+		}
+	}
 }
 
 // TestServeStopsCleanlyOnSignal sends half the body of a batch request,
