@@ -133,6 +133,68 @@ func TestPublicGraphIO(t *testing.T) {
 	}
 }
 
+// TestLoadGraphFormatsAgree saves one graph whose top-numbered vertices
+// are isolated as text and as binary: both copies load with the same
+// vertex universe, the largest endpoint plus one, and the same edges.
+func TestLoadGraphFormatsAgree(t *testing.T) {
+	g, err := adwise.RMAT(10, 2000, 0.57, 0.19, 0.19, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var maxID adwise.VertexID
+	for _, e := range g.Edges {
+		maxID = max(maxID, e.Src, e.Dst)
+	}
+	if int(maxID)+1 == g.V() {
+		t.Fatalf("fixture uses vertex %d of %d; it needs isolated top-numbered vertices", maxID, g.V())
+	}
+	dir := t.TempDir()
+	var loaded []*adwise.Graph
+	for _, name := range []string{"g.txt", "g.bin"} {
+		path := filepath.Join(dir, name)
+		if err := adwise.SaveGraph(path, g); err != nil {
+			t.Fatal(err)
+		}
+		back, err := adwise.LoadGraph(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back.V() != int(maxID)+1 {
+			t.Errorf("%s loads with %d vertices, want the largest endpoint plus one, %d", name, back.V(), maxID+1)
+		}
+		loaded = append(loaded, back)
+	}
+	txt, bin := loaded[0], loaded[1]
+	if txt.V() != bin.V() || txt.E() != bin.E() {
+		t.Fatalf("text loads V=%d E=%d, binary V=%d E=%d", txt.V(), txt.E(), bin.V(), bin.E())
+	}
+	for i := range txt.Edges {
+		if txt.Edges[i] != bin.Edges[i] {
+			t.Fatalf("edge %d: text %v, binary %v", i, txt.Edges[i], bin.Edges[i])
+		}
+	}
+}
+
+// TestLoadGraphBinaryHeaderBelowEdges loads a binary file whose header
+// declares fewer vertices than its edges reach: the universe comes from
+// the edges, so the graph it returns is one Stats can walk.
+func TestLoadGraphBinaryHeaderBelowEdges(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "g.bin")
+	if err := adwise.SaveGraph(path, &adwise.Graph{NumV: 4, Edges: []adwise.Edge{{Src: 0, Dst: 9}}}); err != nil {
+		t.Fatal(err)
+	}
+	g, err := adwise.LoadGraph(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.V() != 10 {
+		t.Fatalf("NumV = %d, want 10", g.V())
+	}
+	if st := adwise.Stats(g, 1); st.V != 10 || st.E != 1 {
+		t.Errorf("stats: %+v", st)
+	}
+}
+
 func TestPublicStreamFile(t *testing.T) {
 	g, err := adwise.Path(20)
 	if err != nil {

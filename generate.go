@@ -3,6 +3,7 @@ package adwise
 import (
 	"github.com/adwise-go/adwise/internal/gen"
 	"github.com/adwise-go/adwise/internal/graph"
+	"github.com/adwise-go/adwise/internal/stream"
 )
 
 // GraphPreset identifies one of the paper's evaluation graphs (Table II),
@@ -64,8 +65,11 @@ var (
 )
 
 // LoadGraph reads a graph file (text edge list or the package's binary
-// format, sniffed automatically).
-func LoadGraph(path string) (*Graph, error) { return graph.LoadFile(path) }
+// format, sniffed automatically) into memory through the reader StreamFile
+// returns. NumV is the largest endpoint plus one in both formats, so a
+// text copy and a binary copy of one graph load alike; a binary header's
+// vertex count is checked but does not widen it.
+func LoadGraph(path string) (*Graph, error) { return stream.Load(path) }
 
 // SaveGraph writes a graph to path: binary when the extension is ".bin",
 // text edge list otherwise.

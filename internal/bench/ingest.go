@@ -11,12 +11,13 @@ import (
 	"github.com/adwise-go/adwise/internal/graph"
 	"github.com/adwise-go/adwise/internal/metrics"
 	"github.com/adwise-go/adwise/internal/runtime"
+	"github.com/adwise-go/adwise/internal/stream"
 )
 
 // Ingest measures the full ingest matrix for feeding the Z spotlight
 // instances from a graph file (§III-D, Figure 3): both on-disk formats —
 // text edge list and fixed-record ADWB binary — each loaded both ways:
-// materialise the edge list and chunk it (graph.LoadFile + ChunkStreams)
+// materialise the edge list and chunk it (stream.Load + ChunkStreams)
 // versus streaming disjoint byte ranges of the file (OpenFileStreams), both
 // through the one spotlight executor. All four paths partition the same
 // Web-like graph with the same strategy; the table reports wall time and
@@ -82,7 +83,7 @@ func Ingest(cfg Config) (*Table, error) {
 	for _, format := range []string{"text", "binary"} {
 		path := paths[format]
 		materialised, err := measure(format+" materialised", func() (*metrics.Assignment, error) {
-			loaded, err := graph.LoadFile(path)
+			loaded, err := stream.Load(path)
 			if err != nil {
 				return nil, err
 			}
@@ -119,7 +120,7 @@ func Ingest(cfg Config) (*Table, error) {
 		Title:   fmt.Sprintf("file ingest, %s, %d edges, z=%d loaders, {text,binary} x {materialised,segmented}", strategy, edges, scfg.Z),
 		Columns: []string{"ingest", "latency", "alloc MB", "RF"},
 		Notes: []string{
-			"materialised = LoadFile + ChunkStreams; segmented = byte-range OpenFileStreams; both through RunSpotlightStreamsStats",
+			"materialised = stream.Load + ChunkStreams; segmented = byte-range OpenFileStreams; both through RunSpotlightStreamsStats",
 			"segmented loading never holds the full edge slice: its steady memory is the per-loader read buffers",
 			"plus the vertex caches — constant in the edge count, so the win over materialising grows with the file",
 			"binary segmented additionally plans by header arithmetic (no counting pass) and decodes fixed records",

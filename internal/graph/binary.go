@@ -7,7 +7,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"slices"
 	"unsafe"
 )
 
@@ -20,9 +19,8 @@ import (
 //
 // This file owns everything that knows the record layout: header encoding
 // and validation (StatBinary), raw record decoding (ReadRecords), and the
-// materialising reader/writer pair (ReadBinary / WriteBinary). The
-// streaming readers in internal/stream build on StatBinary + ReadRecords
-// and never duplicate the format.
+// writer (WriteBinary). The one reader, in internal/stream, builds on
+// StatBinaryFile + ReadRecords and never duplicates the format.
 
 const binaryMagic = "ADWB"
 
@@ -35,8 +33,8 @@ const (
 )
 
 // maxBinaryEdges bounds the declared edge count (16 Gi edges) as a sanity
-// check against corrupt headers; file-backed readers additionally verify
-// the count against the actual file size.
+// check against corrupt headers; StatBinaryFile additionally verifies the
+// count against the actual file size.
 const maxBinaryEdges = 1 << 34
 
 // An Edge must be exactly one ADWB record — Src in the first four bytes,
@@ -215,59 +213,11 @@ func WriteBinary(w io.Writer, g *Graph) error {
 	return nil
 }
 
-// readBinaryChunk is the allocation step of ReadBinary: large enough to
-// amortize read calls, small enough that a corrupt header cannot drive a
-// huge up-front allocation.
-const readBinaryChunk = 1 << 16 // edges: 512 KiB per step
-
-// ReadBinary reads a graph in the compact binary format, materialising the
-// edge list. The header is validated before anything is allocated: when r
-// can report its size (an *os.File), the declared edge count must match it
-// exactly; otherwise the edge slice grows in bounded chunks as records
-// actually arrive, so a truncated or hostile header can never drive an
-// allocation larger than the real data.
-func ReadBinary(r io.Reader) (*Graph, error) {
-	// Size check up front, before the reader is wrapped or consumed.
-	size := int64(-1)
-	if f, ok := r.(interface{ Stat() (os.FileInfo, error) }); ok {
-		if st, err := f.Stat(); err == nil && st.Mode().IsRegular() {
-			size = st.Size()
-		}
-	}
-	br := bufio.NewReaderSize(r, 1<<20)
-	var hdr [BinaryHeaderSize]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("graph: reading binary header: %w", err)
-	}
-	bi, err := decodeBinaryHeader(hdr[:])
-	if err != nil {
-		return nil, err
-	}
-	if size >= 0 && size != bi.DataEnd() {
-		return nil, fmt.Errorf("graph: header declares %d edges (%d bytes) but file holds %d bytes",
-			bi.NumE, bi.DataEnd(), size)
-	}
-	capHint := min(bi.NumE, readBinaryChunk)
-	if size >= 0 {
-		capHint = bi.NumE // size-verified: the records really are there
-	}
-	edges := make([]Edge, 0, capHint)
-	for uint64(len(edges)) < bi.NumE {
-		want := int(min(bi.NumE-uint64(len(edges)), readBinaryChunk))
-		lo := len(edges)
-		edges = slices.Grow(edges, want)[:lo+want]
-		got, err := ReadRecords(br, edges[lo:])
-		edges = edges[:lo+got]
-		if err != nil {
-			return nil, fmt.Errorf("graph: reading edge %d/%d: %w", len(edges), bi.NumE, err)
-		}
-	}
-	return &Graph{NumV: int(bi.NumV), Edges: edges}, nil
-}
-
-// sniffBinary reports whether the open file begins with the binary
+// SniffBinary reports whether the open file begins with the binary
 // edge-list magic, leaving the read position at the start of the file.
-func sniffBinary(f *os.File) (bool, error) {
+// stream.Open sniffs and reads through one handle with it, so the format
+// decision cannot race a concurrent file swap.
+func SniffBinary(f *os.File) (bool, error) {
 	magic := make([]byte, len(binaryMagic))
 	n, err := io.ReadFull(f, magic)
 	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
@@ -279,13 +229,6 @@ func sniffBinary(f *os.File) (bool, error) {
 	return n == len(binaryMagic) && string(magic) == binaryMagic, nil
 }
 
-// SniffBinary reports whether the open file begins with the binary
-// edge-list magic, leaving the read position at the start of the file —
-// the handle-preserving sniff behind every format-dispatched entry point
-// (graph.LoadFile, stream.Open), so the format decision and the reader
-// share one handle.
-func SniffBinary(f *os.File) (bool, error) { return sniffBinary(f) }
-
 // IsBinary reports whether path begins with the binary edge-list magic.
 // Path-based entry points that cannot keep a handle (stream.PlanFile,
 // whose ranges are reopened per segment) use this; handle-based readers
@@ -296,5 +239,5 @@ func IsBinary(path string) (bool, error) {
 		return false, fmt.Errorf("graph: opening %s: %w", path, err)
 	}
 	defer f.Close()
-	return sniffBinary(f)
+	return SniffBinary(f)
 }

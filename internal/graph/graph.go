@@ -1,6 +1,7 @@
 // Package graph provides the graph substrate for the ADWISE reproduction:
 // edge lists, compressed sparse row adjacency, degree and clustering
-// statistics, and text/binary edge-list IO.
+// statistics, the text and binary (ADWB) edge-list writers, and the ADWB
+// record layout. Graph files are read by package stream alone.
 //
 // Graphs are undirected for partitioning purposes (a vertex-cut does not
 // distinguish edge direction), but edges retain their (Src, Dst) orientation

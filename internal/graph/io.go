@@ -4,13 +4,12 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"strconv"
 	"strings"
 )
 
-// Edge-list IO. Two formats are supported:
+// Edge-list writers. Two formats are supported:
 //
 //   - Text: one "src dst" pair per line, whitespace separated, with '#' and
 //     '%' comment lines — the SNAP / KONECT convention used for the paper's
@@ -18,53 +17,8 @@ import (
 //   - Binary (ADWB): fixed 8-byte records behind a validated header; see
 //     binary.go.
 //
-// LoadFile sniffs the format and dispatches; the streaming equivalents
-// (stream.Open, stream.PlanFile) do the same without materialising.
-
-// ReadEdgeListText parses a text edge list from r. Lines beginning with '#'
-// or '%' and blank lines are skipped. Each data line must contain at least
-// two integer fields; extra fields (weights, timestamps) are ignored.
-func ReadEdgeListText(r io.Reader) (*Graph, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
-	var edges []Edge
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || line[0] == '#' || line[0] == '%' {
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
-			return nil, fmt.Errorf("graph: line %d: want at least 2 fields, got %d", lineNo, len(fields))
-		}
-		src, err := parseVertex(fields[0])
-		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: src: %w", lineNo, err)
-		}
-		dst, err := parseVertex(fields[1])
-		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: dst: %w", lineNo, err)
-		}
-		edges = append(edges, Edge{Src: src, Dst: dst})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("graph: scanning edge list: %w", err)
-	}
-	return New(edges)
-}
-
-func parseVertex(s string) (VertexID, error) {
-	u, err := strconv.ParseUint(s, 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("parsing vertex id %q: %w", s, err)
-	}
-	if u > math.MaxUint32 {
-		return 0, fmt.Errorf("vertex id %d exceeds 32-bit id space", u)
-	}
-	return VertexID(u), nil
-}
+// Reading either format is internal/stream's job: stream.Open streams a
+// file and stream.Load materialises one, through the same reader.
 
 // WriteEdgeListText writes g as a text edge list with a small header
 // comment.
@@ -87,25 +41,6 @@ func WriteEdgeListText(w io.Writer, g *Graph) error {
 		return fmt.Errorf("graph: flushing edge list: %w", err)
 	}
 	return nil
-}
-
-// LoadFile loads a graph from path, choosing the format by sniffing the
-// binary magic and falling back to the text parser. One handle serves both
-// sniff and parse, so the decision cannot race a concurrent file swap.
-func LoadFile(path string) (*Graph, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("graph: opening %s: %w", path, err)
-	}
-	defer f.Close()
-	bin, err := sniffBinary(f)
-	if err != nil {
-		return nil, err
-	}
-	if bin {
-		return ReadBinary(f)
-	}
-	return ReadEdgeListText(f)
 }
 
 // SaveFile writes the graph to path; binary format when the extension is

@@ -348,7 +348,7 @@ func badFileStream(t *testing.T) stream.Stream {
 	if err := os.WriteFile(path, []byte("0 1\n1 2\nbroken\n2 3\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fs, err := stream.OpenFile(path)
+	fs, err := stream.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -105,7 +105,7 @@ func TestFileNextBatch(t *testing.T) {
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f, err := OpenFile(path)
+	f, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestFileNextBatchMalformedStops(t *testing.T) {
 	if err := os.WriteFile(path, []byte("1 2\nnot-an-edge\n3 4\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f, err := OpenFile(path)
+	f, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}

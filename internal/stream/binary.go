@@ -64,34 +64,18 @@ func (d *recordReader) Remaining() int64 { return d.remaining }
 func (d *recordReader) Err() error { return d.err }
 
 // BinaryFile streams a record region of an ADWB binary edge-list file
-// without materialising the edge list — the binary counterpart of File and
-// Segment in one type, since with fixed records the whole file is just the
-// segment [DataStart, DataEnd). OpenBinaryFile streams the whole region;
-// OpenBinarySegment streams one planned sub-range.
+// without materialising the edge list — the binary counterpart of Segment,
+// since with fixed records the whole file is just the segment
+// [DataStart, DataEnd). Open streams the whole region; OpenBinarySegment
+// streams one planned sub-range.
 type BinaryFile struct {
 	f *os.File
 	recordReader
 }
 
-// OpenBinaryFile opens path as an edge stream over its full record region.
-// The header is validated against the file size up front
-// (graph.StatBinaryFile, on the same handle the stream reads), so
-// Remaining is exact with no counting pass.
-func OpenBinaryFile(path string) (*BinaryFile, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("stream: opening %s: %w", path, err)
-	}
-	bf, err := openBinaryHandle(f)
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	return bf, nil
-}
-
 // openBinaryHandle validates the header through the already-open handle
-// and streams its whole record region.
+// (graph.StatBinaryFile, against the file size) and streams its whole
+// record region, so Remaining is exact with no counting pass.
 func openBinaryHandle(f *os.File) (*BinaryFile, error) {
 	bi, err := graph.StatBinaryFile(f)
 	if err != nil {

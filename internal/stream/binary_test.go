@@ -45,7 +45,7 @@ func TestBinaryFileRoundTrip(t *testing.T) {
 	edges := randomEdges(rng, 1000)
 	path := writeBinaryFile(t, edges)
 
-	bf, err := OpenBinaryFile(path)
+	bf, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestBinaryFileNextMatchesBatch(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 4))
 	edges := randomEdges(rng, 100)
 	path := writeBinaryFile(t, edges)
-	bf, err := OpenBinaryFile(path)
+	bf, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,16 +116,30 @@ func TestOpenBinaryFileRejectsCorruptFiles(t *testing.T) {
 		"overlong declared": valid(1<<40, 8), // implausible count
 	}
 	for name, data := range cases {
-		if _, err := OpenBinaryFile(write(name, data)); err == nil {
-			t.Errorf("%s: accepted, want error", name)
-		}
-		if _, err := PlanBinary(write(name, data), 1); err == nil {
+		path := write(name, data)
+		if _, err := PlanBinary(path, 1); err == nil {
 			t.Errorf("%s: planned, want error", name)
+		}
+		first := Range{Path: path, Format: FormatBinary, Start: graph.BinaryHeaderSize, End: graph.BinaryHeaderSize + graph.BinaryRecordSize, Edges: 1}
+		if _, err := OpenSegment(first); err == nil {
+			t.Errorf("%s: segment opened, want error", name)
+		}
+		// Open reads a file without the magic as text.
+		if name == "empty" || name == "bad magic" {
+			continue
+		}
+		if _, err := Open(path); err == nil {
+			t.Errorf("%s: accepted, want error", name)
 		}
 	}
 	// Sanity: the valid template really is valid.
-	if _, err := OpenBinaryFile(write("valid", valid(2, 16))); err != nil {
-		t.Errorf("valid file rejected: %v", err)
+	s, err := Open(write("valid", valid(2, 16)))
+	if err != nil {
+		t.Fatalf("valid file rejected: %v", err)
+	}
+	defer s.Close()
+	if _, ok := s.(*BinaryFile); !ok {
+		t.Errorf("valid file opened as %T, want *BinaryFile", s)
 	}
 }
 
@@ -133,7 +147,7 @@ func TestBinaryFileReportsMidStreamTruncation(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 6))
 	edges := randomEdges(rng, 512)
 	path := writeBinaryFile(t, edges)
-	bf, err := OpenBinaryFile(path)
+	bf, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,9 +6,9 @@ import (
 )
 
 // A text stream holds its input to the count taken before streaming (the
-// counting pass for a File, the plan for a Segment): bytes that changed
-// in between fail the stream instead of streaming more or fewer edges
-// than Remaining promised.
+// counting pass for a whole file from Open, the plan for a planned
+// segment): bytes that changed in between fail the stream instead of
+// streaming more or fewer edges than Remaining promised.
 
 // rewriteAt overwrites the bytes of path at off with b, keeping its size.
 func rewriteAt(t *testing.T, path string, off int64, b string) {
@@ -60,7 +60,7 @@ func TestFileFailsWhenLinesChangeAfterOpen(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			path := writeFile(t, content)
-			fs, err := OpenFile(path)
+			fs, err := Open(path)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -22,9 +22,9 @@ func writeFile(t *testing.T, content string) string {
 	return path
 }
 
-func openBad(t *testing.T) *File {
+func openBad(t *testing.T) FileStream {
 	t.Helper()
-	fs, err := OpenFile(writeFile(t, "0 1\nbogus\n2 3\n"))
+	fs, err := Open(writeFile(t, "0 1\nbogus\n2 3\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestFileRemainingZeroedOnError(t *testing.T) {
 func TestCountMatchesParserShapeTest(t *testing.T) {
 	// The counting pass must not count lines the parser rejects
 	// (fewer than two fields), so Remaining is exact up to the failure.
-	fs, err := OpenFile(writeFile(t, "0 1\nsingletoken\n2 3\n"))
+	fs, err := Open(writeFile(t, "0 1\nsingletoken\n2 3\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestOversizedLineIsStreamError(t *testing.T) {
 	// A >1 MiB line overflows the scanner token buffer: that must surface
 	// as a stream error, not silent truncation.
 	long := "0 " + strings.Repeat("7", maxLineBytes+16)
-	fs, err := OpenFile(writeFile(t, "1 2\n"+long+"\n3 4\n"))
+	fs, err := Open(writeFile(t, "1 2\n"+long+"\n3 4\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestOversizedLineIsStreamError(t *testing.T) {
 func TestTruncatedFileIsStreamError(t *testing.T) {
 	// A file cut off mid-edge (no second field on the final line) is a
 	// malformed line, not a clean end of stream.
-	fs, err := OpenFile(writeFile(t, "0 1\n1 2\n314"))
+	fs, err := Open(writeFile(t, "0 1\n1 2\n314"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,9 @@ package stream
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 	"strings"
 	"unicode"
@@ -16,9 +16,9 @@ import (
 // longer than this is a stream error (bufio.ErrTooLong), surfaced via Err.
 const maxLineBytes = 1024 * 1024
 
-// lineParser is the text edge-list scanning core shared by File (whole
-// file) and Segment (one planned byte range): a scanner over some byte
-// range plus the exact remaining count established by the counting pass.
+// lineParser is the text edge-list scanning core of Segment, which streams
+// a planned byte range or, from Open, a whole file: a scanner over the
+// bytes plus the exact remaining count established by the counting pass.
 // It implements the stream error contract — a parse or scan failure zeroes
 // the remainder and is reported by Err, so exhaustion with a pending error
 // is distinguishable from clean completion. It also holds the range to its
@@ -31,9 +31,12 @@ type lineParser struct {
 	err       error
 }
 
+// newLineParser starts the scanner at 64 KiB, which it grows up to
+// maxLineBytes only for a longer line, so a short segment does not
+// allocate the whole line limit.
 func newLineParser(r io.Reader, remaining int64) lineParser {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, maxLineBytes), maxLineBytes)
+	sc.Buffer(make([]byte, 64<<10), maxLineBytes)
 	return lineParser{sc: sc, remaining: remaining}
 }
 
@@ -100,62 +103,34 @@ func (p *lineParser) Remaining() int64 { return p.remaining }
 // nil on clean exhaustion.
 func (p *lineParser) Err() error { return p.err }
 
-// isDataLine reports whether a trimmed line is one the parser would attempt
-// to parse as an edge: non-empty, not a comment, and at least two fields.
-// The counting pass and the parser share this shape test so Remaining
-// counts exactly the lines NextBatch parses.
-func isDataLine(trimmed string) bool {
-	if trimmed == "" || trimmed[0] == '#' || trimmed[0] == '%' {
+// isDataLine reports whether a line is one the parser would attempt to
+// parse as an edge: after trimming, non-empty, not a comment, and at least
+// two fields. The counting pass and the parser share this shape test so
+// Remaining counts exactly the lines NextBatch parses.
+func isDataLine(line []byte) bool {
+	trimmed := bytes.TrimSpace(line)
+	if len(trimmed) == 0 || trimmed[0] == '#' || trimmed[0] == '%' {
 		return false
 	}
-	i := strings.IndexFunc(trimmed, unicode.IsSpace)
-	return i >= 0 && strings.TrimSpace(trimmed[i:]) != ""
+	i := bytes.IndexFunc(trimmed, unicode.IsSpace)
+	return i >= 0 && len(bytes.TrimSpace(trimmed[i:])) != 0
 }
 
-// File streams edges from a text edge-list file without materialising the
-// graph in memory — the loading model of Figure 3 in the paper, where "the
-// graph data is stored in a large file ... the streaming partitioning
-// algorithm loads the data as a stream of graph edges".
-//
-// The edge count is established up front with a line count pass, exactly as
-// the paper suggests for condition (C2), and the stream fails if the file
-// then holds more or fewer data lines than were counted.
-type File struct {
-	f *os.File
-	lineParser
-}
-
-// OpenFile opens path as an edge stream. The first pass counts data lines
-// so Remaining is exact; the counting pass and the parse share one handle,
-// so the count cannot race a concurrent file swap.
-func OpenFile(path string) (*File, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("stream: opening %s: %w", path, err)
+// readLine returns the next line of br with its '\n', as br.ReadBytes
+// would, but as a slice of br's buffer whenever the line fits there: the
+// counting passes allocate nothing per line. The slice is valid until the
+// next read. A line longer than the buffer is gathered into a new slice.
+func readLine(br *bufio.Reader) ([]byte, error) {
+	line, err := br.ReadSlice('\n')
+	if err != bufio.ErrBufferFull {
+		return line, err
 	}
-	fs, err := openFileHandle(f)
-	if err != nil {
-		f.Close()
-		return nil, err
+	long := append([]byte(nil), line...)
+	for err == bufio.ErrBufferFull {
+		line, err = br.ReadSlice('\n')
+		long = append(long, line...)
 	}
-	return fs, nil
-}
-
-// openFileHandle builds the text stream over an already-open handle
-// positioned anywhere: it counts data lines from the start, rewinds, and
-// parses from the same handle.
-func openFileHandle(f *os.File) (*File, error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, fmt.Errorf("stream: rewinding %s: %w", f.Name(), err)
-	}
-	count, err := countDataLinesIn(f)
-	if err != nil {
-		return nil, fmt.Errorf("stream: counting lines in %s: %w", f.Name(), err)
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, fmt.Errorf("stream: rewinding %s: %w", f.Name(), err)
-	}
-	return &File{f: f, lineParser: newLineParser(f, count)}, nil
+	return long, err
 }
 
 // countDataLinesIn is the counting pass over any reader: it counts exactly
@@ -165,8 +140,8 @@ func countDataLinesIn(r io.Reader) (int64, error) {
 	var count int64
 	br := bufio.NewReaderSize(r, 1<<20)
 	for {
-		line, err := br.ReadString('\n')
-		if isDataLine(strings.TrimSpace(line)) {
+		line, err := readLine(br)
+		if isDataLine(line) {
 			count++
 		}
 		if err == io.EOF {
@@ -176,12 +151,4 @@ func countDataLinesIn(r io.Reader) (int64, error) {
 			return 0, err
 		}
 	}
-}
-
-// Close releases the underlying file.
-func (fs *File) Close() error {
-	if err := fs.f.Close(); err != nil {
-		return fmt.Errorf("stream: closing file: %w", err)
-	}
-	return nil
 }

@@ -105,14 +105,28 @@ func FuzzBinaryFile(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		bf, err := OpenBinaryFile(path)
+		// The header check runs on every input, ADWB magic or not.
+		_, planErr := PlanBinary(path, 1)
+		if format, err := Sniff(path); err != nil || format != FormatBinary {
+			if planErr == nil {
+				t.Fatal("planned a file without the ADWB magic as binary")
+			}
+			return // Open streams it as text
+		}
+		bf, err := Open(path)
 		if err != nil {
+			if planErr == nil {
+				t.Fatalf("planned a file that Open rejects: %v", err)
+			}
 			return // rejected at validation — the common, correct outcome
 		}
 		defer bf.Close()
 		// The open validated the header against the file size, so the
 		// stream must drain cleanly to exactly the declared record count.
 		want := bf.Remaining()
+		if (planErr == nil) != (want > 0) {
+			t.Fatalf("Open accepted %d records, but PlanBinary(path, 1) = %v", want, planErr)
+		}
 		var got int64
 		buf := make([]graph.Edge, 64)
 		for {

@@ -42,8 +42,8 @@ func (f Format) String() string {
 }
 
 // FileStream is the surface every file-backed edge stream shares: batched
-// streaming, the stream error contract, and a close. File, Segment, and
-// BinaryFile all implement it; consumers dispatch on nothing else.
+// streaming, the stream error contract, and a close. Segment and
+// BinaryFile implement it; consumers dispatch on nothing else.
 type FileStream interface {
 	Stream
 	Errer
@@ -51,7 +51,6 @@ type FileStream interface {
 }
 
 var (
-	_ FileStream = (*File)(nil)
 	_ FileStream = (*Segment)(nil)
 	_ FileStream = (*BinaryFile)(nil)
 )
@@ -69,11 +68,11 @@ func Sniff(path string) (Format, error) {
 }
 
 // Open opens path as a single edge stream over the whole file, sniffing
-// the format: ADWB files stream fixed records, everything else streams as
-// a text edge list. One handle serves the sniff and the reader, so the
-// format decision cannot race a concurrent file swap. Remaining is exact
-// either way — from the validated header for binary, from the counting
-// pass for text.
+// the format: an ADWB file streams as a BinaryFile over its record region,
+// everything else as a text Segment over the whole file. One handle serves
+// the sniff and the reader, so the format decision cannot race a
+// concurrent file swap. Remaining is exact either way — from the validated
+// header for binary, from the counting pass for text.
 func Open(path string) (FileStream, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -91,13 +90,30 @@ func Open(path string) (FileStream, error) {
 	if bin {
 		fs, oerr = openBinaryHandle(f)
 	} else {
-		fs, oerr = openFileHandle(f)
+		fs, oerr = openTextFile(f)
 	}
 	if oerr != nil {
 		f.Close()
 		return nil, oerr
 	}
 	return fs, nil
+}
+
+// Load reads the graph file at path into memory through the reader Open
+// returns, so both formats load alike: the vertex universe is the largest
+// endpoint plus one (graph.New). An ADWB header's vertex count is
+// validated but does not widen it.
+func Load(path string) (*graph.Graph, error) {
+	s, err := Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer s.Close()
+	edges, err := Collect(s)
+	if err != nil {
+		return nil, fmt.Errorf("stream: loading %s: %w", path, err)
+	}
+	return graph.New(edges)
 }
 
 // PlanFile splits the graph file at path into z disjoint ranges for z

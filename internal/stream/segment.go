@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 )
 
 // Segmented byte-range loading (paper §II Figure 3, §III-D): z loader
@@ -126,12 +125,12 @@ func planScan(path string, z int, shouldClose func(*planState) bool, total *int6
 
 	br := bufio.NewReaderSize(f, 1<<20)
 	for {
-		line, rerr := br.ReadString('\n')
+		line, rerr := readLine(br)
 		if len(line) > 0 {
 			if len(p.ranges) < z-1 && p.cur.Edges > 0 && shouldClose(&p) {
 				closeRange(p.offset)
 			}
-			if isDataLine(strings.TrimSpace(line)) {
+			if isDataLine(line) {
 				p.cur.Edges++
 				*total++
 			}
@@ -160,11 +159,16 @@ func fileSize(path string) (int64, error) {
 	return st.Size(), nil
 }
 
-// Segment streams the edges of one planned byte range of a text edge
-// list: seek to Start, then a read bounded at End. Ranges from the same
-// plan never overlap, so z concurrent segments cover the file exactly
-// once. It implements Stream and the stream error contract exactly like
-// File, and fails if the range holds more or fewer edges than planned.
+// Segment streams the edges of a text edge list without materialising the
+// graph in memory — the loading model of Figure 3 in the paper, where "the
+// graph data is stored in a large file ... the streaming partitioning
+// algorithm loads the data as a stream of graph edges". OpenSegment streams
+// one planned byte range: seek to Start, then a read bounded at End.
+// Ranges from the same plan never overlap, so z concurrent segments cover
+// the file exactly once. Open streams a whole file as one Segment whose
+// count comes from a line count pass, exactly as the paper suggests for
+// condition (C2). Either way the stream fails if its bytes hold more or
+// fewer edges than were counted.
 type Segment struct {
 	f *os.File
 	lineParser
@@ -212,6 +216,22 @@ func openTextSegment(r Range) (*Segment, error) {
 		f:          f,
 		lineParser: newLineParser(io.LimitReader(f, r.End-r.Start), r.Edges),
 	}, nil
+}
+
+// openTextFile streams the whole text file behind f, which Open has just
+// sniffed and rewound, as one Segment: it counts the data lines, rewinds,
+// and parses from the same handle, so the count cannot race a concurrent
+// file swap. The parser reads to the end of the file, so lines added after
+// the count fail the stream.
+func openTextFile(f *os.File) (*Segment, error) {
+	count, err := countDataLinesIn(f)
+	if err != nil {
+		return nil, fmt.Errorf("stream: counting lines in %s: %w", f.Name(), err)
+	}
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return nil, fmt.Errorf("stream: rewinding %s: %w", f.Name(), err)
+	}
+	return &Segment{f: f, lineParser: newLineParser(f, count)}, nil
 }
 
 // Close releases the underlying file handle.

@@ -1,10 +1,13 @@
 package stream
 
 import (
+	"bufio"
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -261,5 +264,90 @@ func TestQuickSegmentsCoverEveryEdgeOnce(t *testing.T) {
 				t.Fatalf("round %d: edge %d = %v, want %v", round, i, got[i], want[i])
 			}
 		}
+	}
+}
+
+// TestPlanOversizedLine: a line longer than the planner's read buffer
+// still plans at exact byte offsets, and the segment that holds it fails
+// with the scanner's line limit.
+func TestPlanOversizedLine(t *testing.T) {
+	content := "1 2\n0 " + strings.Repeat("7", maxLineBytes+16) + "\n3 4\n4 5\n"
+	ranges, err := Plan(writeFile(t, content), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total int64
+	for i, r := range ranges {
+		if i > 0 && r.Start != ranges[i-1].End || r.Start > 0 && content[r.Start-1] != '\n' {
+			t.Fatalf("range %d [%d,%d) does not start on the line after its predecessor", i, r.Start, r.End)
+		}
+		total += r.Edges
+	}
+	if end := ranges[len(ranges)-1].End; end != int64(len(content)) || total != 4 {
+		t.Fatalf("ranges end at %d holding %d edges, want %d and 4", end, total, len(content))
+	}
+	seg, err := OpenSegment(ranges[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer seg.Close()
+	drain(t, seg)
+	if err := seg.Err(); !errors.Is(err, bufio.ErrTooLong) {
+		t.Errorf("segment over the oversized line: Err = %v, want bufio.ErrTooLong", err)
+	}
+}
+
+// TestSegmentAllocatesLittle: the scanner starts small and grows only for
+// long lines, so opening and draining a two-edge segment allocates far
+// less than the 1 MiB line limit.
+func TestSegmentAllocatesLittle(t *testing.T) {
+	ranges, err := Plan(writeFile(t, "0 1\n1 2\n"), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	seg, err := OpenSegment(ranges[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := drain(t, seg)
+	if err := seg.Err(); err != nil || len(got) != 2 {
+		t.Fatalf("drained %d edges, err %v; want 2 and nil", len(got), err)
+	}
+	seg.Close()
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 128<<10 {
+		t.Errorf("opening and draining a 2-edge segment allocated %d bytes, want under 128 KiB", alloc)
+	}
+}
+
+// TestCountingPassesAllocateNothingPerLine: Plan and Open count a file's
+// lines in place in their read buffers, so their allocations do not grow
+// with the line count.
+func TestCountingPassesAllocateNothingPerLine(t *testing.T) {
+	allocs := func(lines int) (plan, open float64) {
+		path := writeFile(t, "# header\n"+strings.Repeat("12 34\n", lines))
+		plan = testing.AllocsPerRun(3, func() {
+			if _, err := Plan(path, 2); err != nil {
+				t.Fatal(err)
+			}
+		})
+		open = testing.AllocsPerRun(3, func() {
+			s, err := Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+		})
+		return plan, open
+	}
+	plan10, open10 := allocs(10)
+	plan10k, open10k := allocs(10_000)
+	if plan10k > plan10 {
+		t.Errorf("Plan made %.0f allocations on 10,000 lines, %.0f on 10", plan10k, plan10)
+	}
+	if open10k > open10 {
+		t.Errorf("Open made %.0f allocations on 10,000 lines, %.0f on 10", open10k, open10)
 	}
 }

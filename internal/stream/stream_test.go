@@ -171,9 +171,9 @@ func TestFileStream(t *testing.T) {
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fs, err := OpenFile(path)
+	fs, err := Open(path)
 	if err != nil {
-		t.Fatalf("OpenFile: %v", err)
+		t.Fatalf("Open: %v", err)
 	}
 	defer fs.Close()
 	if got := fs.Remaining(); got != 3 {
@@ -193,9 +193,9 @@ func TestFileStreamMalformed(t *testing.T) {
 	if err := os.WriteFile(path, []byte("0 1\nbogus\n2 3\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fs, err := OpenFile(path)
+	fs, err := Open(path)
 	if err != nil {
-		t.Fatalf("OpenFile: %v", err)
+		t.Fatalf("Open: %v", err)
 	}
 	defer fs.Close()
 	got := drain(t, fs)
@@ -208,7 +208,7 @@ func TestFileStreamMalformed(t *testing.T) {
 }
 
 func TestFileStreamMissing(t *testing.T) {
-	if _, err := OpenFile(filepath.Join(t.TempDir(), "nope.txt")); err == nil {
-		t.Error("OpenFile on missing path succeeded, want error")
+	if _, err := Open(filepath.Join(t.TempDir(), "nope.txt")); err == nil {
+		t.Error("Open on missing path succeeded, want error")
 	}
 }
