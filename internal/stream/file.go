@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 	"unicode"
+	"unicode/utf8"
 
 	"github.com/adwise-go/adwise/internal/graph"
 )
@@ -50,35 +50,38 @@ func (p *lineParser) fail(err error) {
 
 // NextBatch implements Stream: it parses up to len(dst) edges in one call,
 // touching the scanner in a tight loop so the per-edge cost is line parsing
-// alone rather than parsing plus interface dispatch per edge. A malformed
-// line terminates the stream; the parse error is available via Err.
+// alone rather than parsing plus interface dispatch per edge. Each line is
+// parsed in place in the scanner's buffer, so no line allocates. A
+// malformed line terminates the stream; the parse error is available via
+// Err.
 func (p *lineParser) NextBatch(dst []graph.Edge) int {
 	if p.err != nil {
 		return 0
 	}
 	n := 0
 	for n < len(dst) && p.sc.Scan() {
-		line := strings.TrimSpace(p.sc.Text())
-		if line == "" || line[0] == '#' || line[0] == '%' {
+		line := bytes.TrimSpace(p.sc.Bytes())
+		if len(line) == 0 || line[0] == '#' || line[0] == '%' {
 			continue
 		}
 		if p.remaining == 0 {
 			p.fail(fmt.Errorf("stream: data line %q past the counted edges; the input changed after it was counted", line))
 			return n
 		}
-		fields := strings.Fields(line)
-		if len(fields) < 2 {
+		srcField, rest := nextField(line)
+		dstField, _ := nextField(rest)
+		if len(dstField) == 0 {
 			p.fail(fmt.Errorf("stream: malformed line %q", line))
 			return n
 		}
-		src, err := strconv.ParseUint(fields[0], 10, 32)
+		src, err := strconv.ParseUint(string(srcField), 10, 32)
 		if err != nil {
-			p.fail(fmt.Errorf("stream: parsing src %q: %w", fields[0], err))
+			p.fail(fmt.Errorf("stream: parsing src %q: %w", srcField, err))
 			return n
 		}
-		dstID, err := strconv.ParseUint(fields[1], 10, 32)
+		dstID, err := strconv.ParseUint(string(dstField), 10, 32)
 		if err != nil {
-			p.fail(fmt.Errorf("stream: parsing dst %q: %w", fields[1], err))
+			p.fail(fmt.Errorf("stream: parsing dst %q: %w", dstField, err))
 			return n
 		}
 		p.remaining--
@@ -105,16 +108,44 @@ func (p *lineParser) Err() error { return p.err }
 
 // isDataLine reports whether a line is one the parser would attempt to
 // parse as an edge: after trimming, non-empty, not a comment, and at least
-// two fields. The counting pass and the parser share this shape test so
-// Remaining counts exactly the lines NextBatch parses.
+// two fields. The counting passes and the parser split fields with the same
+// indexSpace, so Remaining counts exactly the lines NextBatch parses.
 func isDataLine(line []byte) bool {
 	trimmed := bytes.TrimSpace(line)
 	if len(trimmed) == 0 || trimmed[0] == '#' || trimmed[0] == '%' {
 		return false
 	}
-	i := bytes.IndexFunc(trimmed, unicode.IsSpace)
-	return i >= 0 && len(bytes.TrimSpace(trimmed[i:])) != 0
+	// trimmed ends in a non-space, so any space inside it starts a second
+	// field.
+	return indexSpace(trimmed) >= 0
 }
+
+// nextField splits s, which starts with a non-space, into its first field
+// and what follows the spaces after it, where strings.Fields would split.
+func nextField(s []byte) (field, rest []byte) {
+	i := indexSpace(s)
+	if i < 0 {
+		return s, nil
+	}
+	return s[:i], bytes.TrimLeftFunc(s[i:], unicode.IsSpace)
+}
+
+// indexSpace is bytes.IndexFunc(s, unicode.IsSpace) with a fast path for
+// ASCII.
+func indexSpace(s []byte) int {
+	for i, c := range s {
+		if c >= utf8.RuneSelf {
+			return bytes.IndexFunc(s, unicode.IsSpace)
+		}
+		if asciiSpace[c] {
+			return i
+		}
+	}
+	return -1
+}
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
 
 // readLine returns the next line of br with its '\n', as br.ReadBytes
 // would, but as a slice of br's buffer whenever the line fits there: the

@@ -5,6 +5,9 @@ import (
 	"encoding/binary"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/adwise-go/adwise/internal/graph"
@@ -31,23 +34,23 @@ func FuzzLineParser(f *testing.F) {
 		if err != nil {
 			t.Skip() // reader over bytes cannot fail; defensive
 		}
-		parse := func(batch int) (int64, error) {
+		parse := func(batch int) ([]graph.Edge, error) {
 			p := newLineParser(bytes.NewReader(data), count)
 			buf := make([]graph.Edge, batch)
-			var got int64
+			var got []graph.Edge
 			for {
 				n := p.NextBatch(buf)
 				if n == 0 {
 					break
 				}
-				got += int64(n)
+				got = append(got, buf[:n]...)
 			}
 			if p.err != nil && p.Remaining() != 0 {
 				t.Fatalf("Remaining = %d after parse error %v, want 0", p.Remaining(), p.err)
 			}
 			if p.err == nil {
-				if got != count {
-					t.Fatalf("clean parse yielded %d edges, counting pass says %d", got, count)
+				if int64(len(got)) != count {
+					t.Fatalf("clean parse yielded %d edges, counting pass says %d", len(got), count)
 				}
 				if p.Remaining() != 0 {
 					t.Fatalf("Remaining = %d after clean exhaustion, want 0", p.Remaining())
@@ -57,9 +60,14 @@ func FuzzLineParser(f *testing.F) {
 		}
 		gotBig, errBig := parse(512)
 		gotOne, errOne := parse(1)
-		if gotBig != gotOne || (errBig == nil) != (errOne == nil) {
-			t.Fatalf("batch-size dependence: batch=512 -> (%d, %v), batch=1 -> (%d, %v)",
-				gotBig, errBig, gotOne, errOne)
+		if !slices.Equal(gotBig, gotOne) || (errBig == nil) != (errOne == nil) {
+			t.Fatalf("batch-size dependence: batch=512 -> (%d edges, %v), batch=1 -> (%d edges, %v)",
+				len(gotBig), errBig, len(gotOne), errOne)
+		}
+		// The parser splits lines where strings.Fields does (the oracle has
+		// no line limit).
+		if want, wantOK := fieldsParse(data); len(data) < maxLineBytes && (!slices.Equal(gotBig, want) || (errBig == nil) != wantOK) {
+			t.Fatalf("parser -> (%v, %v), strings.Fields oracle -> (%v, ok %v)", gotBig, errBig, want, wantOK)
 		}
 
 		// The parser holds its range to the count it was given: with one
@@ -81,6 +89,33 @@ func FuzzLineParser(f *testing.F) {
 			}
 		}
 	})
+}
+
+// fieldsParse is the oracle for FuzzLineParser: the text edge-list grammar
+// with lines split by strings.Fields. It returns the edges before the first
+// malformed line and whether there was none.
+func fieldsParse(data []byte) ([]graph.Edge, bool) {
+	var edges []graph.Edge
+	for _, line := range strings.Split(string(data), "\n") {
+		line = strings.TrimSpace(line)
+		if line == "" || line[0] == '#' || line[0] == '%' {
+			continue
+		}
+		fields := strings.Fields(line)
+		if len(fields) < 2 {
+			return edges, false
+		}
+		src, err := strconv.ParseUint(fields[0], 10, 32)
+		if err != nil {
+			return edges, false
+		}
+		dst, err := strconv.ParseUint(fields[1], 10, 32)
+		if err != nil {
+			return edges, false
+		}
+		edges = append(edges, graph.Edge{Src: graph.VertexID(src), Dst: graph.VertexID(dst)})
+	}
+	return edges, true
 }
 
 func fuzzBinarySeed(edges []graph.Edge) []byte {

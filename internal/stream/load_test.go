@@ -94,19 +94,25 @@ func TestLoadRejectsCorruptBinary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, bad := range map[string][]byte{
-		"truncated header":  data[:5],
-		"truncated records": binaryHeaderBytes(2, 5),
-		"truncated":         data[:len(data)-graph.BinaryRecordSize],
-		"torn record":       data[:len(data)-3],
-		"padded":            append(append([]byte{}, data...), 0xab),
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"bad magic", []byte("NOPE\x00\x00\x00\x00")}, // read as text, and malformed
+		{"truncated header", data[:5]},
+		{"truncated records", binaryHeaderBytes(2, 5)},
+		{"truncated", data[:len(data)-graph.BinaryRecordSize]},
+		{"torn record", data[:len(data)-3]},
+		{"padded", append(append([]byte{}, data...), 0xab)},
 	} {
-		p := filepath.Join(t.TempDir(), "bad.bin")
-		if err := os.WriteFile(p, bad, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Load(p); err == nil {
-			t.Errorf("Load accepted the %s file", name)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			p := filepath.Join(t.TempDir(), "bad.bin")
+			if err := os.WriteFile(p, tc.data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Load(p); err == nil {
+				t.Error("Load accepted the file")
+			}
+		})
 	}
 }
