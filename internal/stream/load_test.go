@@ -55,36 +55,6 @@ func TestLoadTextErrors(t *testing.T) {
 	}
 }
 
-// TestLoadRoundTrip saves graphs in both formats with graph.SaveFile and
-// loads them back: the edges come back in order, and NumV is the largest
-// endpoint plus one whatever the format.
-func TestLoadRoundTrip(t *testing.T) {
-	for _, g := range []*graph.Graph{
-		{NumV: 4, Edges: []graph.Edge{{Src: 0, Dst: 1}, {Src: 2, Dst: 3}, {Src: 3, Dst: 0}}},
-		{NumV: 1000, Edges: []graph.Edge{{Src: 0, Dst: 999}, {Src: 42, Dst: 17}, {Src: 999, Dst: 0}}},
-		{NumV: 6, Edges: []graph.Edge{{Src: 0, Dst: 1}, {Src: 4, Dst: 5}}},
-	} {
-		for _, name := range []string{"g.txt", "g.bin"} {
-			path := filepath.Join(t.TempDir(), name)
-			if err := graph.SaveFile(path, g); err != nil {
-				t.Fatalf("SaveFile(%s): %v", name, err)
-			}
-			back, err := Load(path)
-			if err != nil {
-				t.Fatalf("Load(%s): %v", name, err)
-			}
-			if back.NumV != g.NumV || back.E() != g.E() {
-				t.Fatalf("%s round trip: V=%d E=%d, want V=%d E=%d", name, back.NumV, back.E(), g.NumV, g.E())
-			}
-			for i := range g.Edges {
-				if back.Edges[i] != g.Edges[i] {
-					t.Fatalf("%s round trip edge %d: %v vs %v", name, i, back.Edges[i], g.Edges[i])
-				}
-			}
-		}
-	}
-}
-
 func TestLoadRejectsCorruptBinary(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "g.bin")
 	if err := graph.SaveFile(path, &graph.Graph{NumV: 4, Edges: []graph.Edge{{Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 3}}}); err != nil {
