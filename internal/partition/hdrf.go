@@ -55,26 +55,27 @@ func (h *HDRF) Cache() *vcache.Cache { return h.cache }
 // Lambda returns the configured balancing weight.
 func (h *HDRF) Lambda() float64 { return h.lambda }
 
-// Assign implements Partitioner.
+// Assign implements Partitioner. Each endpoint costs one cache probe,
+// which yields its degree and replica words together.
 func (h *HDRF) Assign(e graph.Edge) int {
+	degU, ru := h.cache.LookupWords(e.Src)
+	degV, rv := h.cache.LookupWords(e.Dst)
 	// Partial degrees including the current edge, as in the reference
 	// implementation (degrees are bumped before scoring).
-	du := float64(h.cache.Degree(e.Src) + 1)
-	dv := float64(h.cache.Degree(e.Dst) + 1)
+	du := float64(degU + 1)
+	dv := float64(degV + 1)
 	thetaU := du / (du + dv)
 	thetaV := 1 - thetaU
 
-	ru := h.cache.Replicas(e.Src)
-	rv := h.cache.Replicas(e.Dst)
 	minSize, maxSize := h.cache.MinMaxSizeOf(h.parts)
 
 	best, bestScore := h.parts[0], -1.0
 	for _, p := range h.parts {
 		var rep float64
-		if ru.Contains(p) {
+		if hasReplica(ru, p) {
 			rep += 1 + (1 - thetaU)
 		}
-		if rv.Contains(p) {
+		if hasReplica(rv, p) {
 			rep += 1 + (1 - thetaV)
 		}
 		bal := float64(maxSize-h.cache.Size(p)) / (hdrfEpsilon + float64(maxSize-minSize))
@@ -85,4 +86,11 @@ func (h *HDRF) Assign(e graph.Edge) int {
 	}
 	h.cache.Assign(e, best)
 	return best
+}
+
+// hasReplica reports whether partition p's bit is set in the replica words
+// vcache.Cache.LookupWords returned; a miss's nil words hold no replica.
+func hasReplica(words []uint64, p int) bool {
+	w := p >> 6
+	return w < len(words) && words[w]&(1<<(uint(p)&63)) != 0
 }

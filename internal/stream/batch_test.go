@@ -46,6 +46,76 @@ func TestCollect(t *testing.T) {
 	}
 }
 
+// batchyStream delivers its edges in short batches of cycling sizes 1, 7
+// and 3 (never more than dst holds) and records how much room each call
+// was offered. Its Remaining hides the last hidden edges, so a non-zero
+// hidden makes it deliver past what it reports.
+type batchyStream struct {
+	edges  []graph.Edge
+	pos    int
+	hidden int
+	calls  int
+	offers []int
+}
+
+func (s *batchyStream) NextBatch(dst []graph.Edge) int {
+	s.offers = append(s.offers, len(dst))
+	size := []int{1, 7, 3}[s.calls%3]
+	s.calls++
+	n := copy(dst[:min(size, len(dst))], s.edges[s.pos:])
+	s.pos += n
+	return n
+}
+
+func (s *batchyStream) Remaining() int64 {
+	return int64(max(len(s.edges)-s.pos-s.hidden, 0))
+}
+
+// TestCollectUnevenBatches pins that Collect gathers a stream that
+// delivers fewer edges than it is offered, in order, into an exact-size
+// slice, and that it offers the stream the output's whole free tail
+// rather than a fixed-size buffer.
+func TestCollectUnevenBatches(t *testing.T) {
+	edges := edgesN(1000)
+	s := &batchyStream{edges: edges}
+	got, err := Collect(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(edges) || cap(got) != len(edges) {
+		t.Fatalf("Collect returned len %d cap %d, want %d and %d", len(got), cap(got), len(edges), len(edges))
+	}
+	for i := range edges {
+		if got[i] != edges[i] {
+			t.Fatalf("Collect edge %d = %v, want %v", i, got[i], edges[i])
+		}
+	}
+	if s.offers[0] != len(edges) || s.offers[1] != len(edges)-1 {
+		t.Errorf("first offers %v, want %d then %d (the output's free tail)", s.offers[:2], len(edges), len(edges)-1)
+	}
+}
+
+// TestCollectOverDelivery pins that edges a stream delivers past its
+// Remaining are kept, in order, as they were before Collect read into its
+// exact-size output: more than one spill buffer's worth of them.
+func TestCollectOverDelivery(t *testing.T) {
+	for _, hidden := range []int{1, 700, 1000} {
+		edges := edgesN(1000)
+		got, err := Collect(&batchyStream{edges: edges, hidden: hidden})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(edges) {
+			t.Fatalf("hidden %d: Collect returned %d edges, want %d", hidden, len(got), len(edges))
+		}
+		for i := range edges {
+			if got[i] != edges[i] {
+				t.Fatalf("hidden %d: Collect edge %d = %v, want %v", hidden, i, got[i], edges[i])
+			}
+		}
+	}
+}
+
 func TestBufferedMatchesInner(t *testing.T) {
 	edges := edgesN(100)
 	b := NewBuffered(FromEdges(edges), 16)

@@ -60,24 +60,35 @@ func Len(s Stream) (int64, error) {
 	return n, nil
 }
 
-// Collect drains s into a new edge slice, batch-wise. A stream that fails
-// mid-pass returns the error, not a silently-short slice.
+// Collect drains s into a new edge slice of exactly Remaining() edges,
+// reading straight into the slice's free tail. Edges a stream delivers
+// past its Remaining go through a small stack buffer and are appended. A
+// stream that fails mid-pass returns the error, not a silently-short
+// slice.
 func Collect(s Stream) ([]graph.Edge, error) {
 	m, err := Len(s)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]graph.Edge, 0, m)
-	var buf [512]graph.Edge
+	var spill [512]graph.Edge
 	for {
-		n := s.NextBatch(buf[:])
+		dst, spilled := out[len(out):cap(out)], false
+		if len(dst) == 0 {
+			dst, spilled = spill[:], true
+		}
+		n := s.NextBatch(dst)
 		if n == 0 {
 			if err := Err(s); err != nil {
 				return nil, fmt.Errorf("stream: collecting after %d edges: %w", len(out), err)
 			}
 			return out, nil
 		}
-		out = append(out, buf[:n]...)
+		if spilled {
+			out = append(out, spill[:n]...)
+		} else {
+			out = out[:len(out)+n]
+		}
 	}
 }
 

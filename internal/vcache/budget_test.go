@@ -2,6 +2,7 @@ package vcache
 
 import (
 	"testing"
+	"unsafe"
 
 	"github.com/adwise-go/adwise/internal/bitset"
 	"github.com/adwise-go/adwise/internal/graph"
@@ -83,6 +84,52 @@ func TestBoundedHonorsBudget(t *testing.T) {
 	}
 	if got := uint64(c.Vertices()); got > (c.mask+1)*3/4 {
 		t.Errorf("live vertices %d exceed load capacity of the budgeted table", got)
+	}
+}
+
+// TestBytesMatchesResidentArrays checks the byte accounting against the
+// arrays the cache holds, not against a formula: after growth, Reserve,
+// eviction and same-size compaction, Bytes() is the size of the slot table
+// plus the partition sizes, 8·len(table) + 8·k, at one and two replica
+// words per slot.
+func TestBytesMatchesResidentArrays(t *testing.T) {
+	for _, k := range []int{32, 96} {
+		check := func(c *Cache, when string) {
+			t.Helper()
+			resident := int64(len(c.table))*int64(unsafe.Sizeof(c.table[0])) +
+				int64(len(c.sizes))*int64(unsafe.Sizeof(c.sizes[0]))
+			if got := c.Bytes(); got != resident || len(c.sizes) != k {
+				t.Errorf("k=%d after %s: Bytes() = %d, resident arrays %d (%d table words, %d sizes)",
+					k, when, got, resident, len(c.table), len(c.sizes))
+			}
+		}
+		grown := New(k, 0)
+		check(grown, "New")
+		driveChain(grown, k, 5_000)
+		if grown.Rehashes() == 0 {
+			t.Fatalf("k=%d: the table never grew", k)
+		}
+		check(grown, "growth")
+		grown.Reserve(50_000)
+		check(grown, "Reserve")
+
+		bounded := New(k, 1)
+		evicted, compacted := false, false
+		for i := 0; !compacted && i < 1<<20; i++ {
+			bytes, rehashes := bounded.Bytes(), bounded.Rehashes()
+			bounded.Assign(graph.Edge{Src: graph.VertexID(i), Dst: graph.VertexID(i + 1)}, i%k)
+			if !evicted && bounded.EvictedVertices() > 0 {
+				evicted = true
+				check(bounded, "eviction")
+			}
+			if evicted && bounded.Rehashes() > rehashes && bounded.Bytes() == bytes {
+				compacted = true
+				check(bounded, "same-size compaction")
+			}
+		}
+		if !compacted {
+			t.Fatalf("k=%d: no same-size compaction at the floored budget", k)
+		}
 	}
 }
 

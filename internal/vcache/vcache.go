@@ -4,11 +4,13 @@
 // partition edge counts that the balancing scores need.
 //
 // The cache is an open-addressing hash table with no per-vertex heap
-// allocation: vertex keys and partial degrees live in flat arrays, and all
-// replica bitmaps share one word arena indexed by slot. Per-edge scoring
-// (LookupWords) is a probe into three parallel arrays — no pointer chase,
-// no map-bucket indirection — which is what the window-based scoring loop
-// of ADWISE spends most of its time on.
+// allocation: one flat word table holds, per slot, a head word packing the
+// vertex key with its partial degree followed by the vertex's replica
+// bitmap words. Per-edge scoring (LookupWords) therefore reads one run of
+// adjacent words per vertex — no pointer chase, no map-bucket indirection,
+// and on a table far larger than the core's cache usually one cache-line
+// miss — which is what the streaming partitioners spend most of their time
+// on.
 //
 // A Cache is owned by a single partitioner instance and is not safe for
 // concurrent use; the parallel-loading model of the paper (§III-D) gives
@@ -35,22 +37,27 @@ const minSlots = 1024
 // stop at a true empty.
 const tombstone = int32(-1)
 
-// Byte-accounting model: the tracked footprint is the resident table
-// arrays — keys, degrees, the replica word arena, and the per-partition
-// size counters. Slice headers, the struct itself, and the transient old
-// arrays freed by a rehash are not counted; the model is the steady-state
-// footprint the budget is meant to bound.
+// The head word packs a 32-bit vertex key beside a 32-bit degree; this
+// constant fails to compile if graph.VertexID outgrows its half.
+const _ = uint32(^graph.VertexID(0))
+
+// head returns the head word of a slot holding v at degree d.
+func head(v graph.VertexID, d int32) uint64 { return uint64(v)<<32 | uint64(uint32(d)) }
+
+// Byte-accounting model: the tracked footprint is the resident slot table
+// — a head word and the replica words of every slot — and the
+// per-partition size counters. Slice headers, the struct itself, and the
+// transient old table freed by a rehash are not counted; the model is the
+// steady-state footprint the budget is meant to bound.
 const (
-	bytesPerKey    = int64(unsafe.Sizeof(graph.VertexID(0)))
-	bytesPerDegree = int64(unsafe.Sizeof(int32(0)))
-	bytesPerWord   = int64(unsafe.Sizeof(uint64(0)))
-	bytesPerSize   = int64(unsafe.Sizeof(int64(0)))
+	bytesPerWord = int64(unsafe.Sizeof(uint64(0)))
+	bytesPerSize = int64(unsafe.Sizeof(int64(0)))
 )
 
 // tableBytes returns the tracked footprint of a table with the given slot
 // count, replica words per entry, and partition count.
 func tableBytes(slots uint64, wpe, k int) int64 {
-	return int64(slots)*(bytesPerKey+bytesPerDegree+int64(wpe)*bytesPerWord) + int64(k)*bytesPerSize
+	return int64(slots)*int64(1+wpe)*bytesPerWord + int64(k)*bytesPerSize
 }
 
 // slotsFor returns the smallest power-of-two slot count (≥ minSlots) that
@@ -110,18 +117,17 @@ type Cache struct {
 	wpe    int   // replica words per entry: ceil(k/64)
 	budget int64 // effective budget, at least the minimum table
 
-	// Open-addressing table, all slices of length len(keys) (slots)
-	// except words (slots*wpe). degrees is three-state: 0 empty,
-	// tombstone (-1) evicted, > 0 live partial degree. Every insertion
-	// starts at 1, so zero is a safe empty marker even for vertex id 0.
+	// Open-addressing table of 1+wpe words per slot: the head word
+	// key<<32 | uint32(degree), then the slot's replica bitmap words.
+	// The degree half is three-state: 0 empty, tombstone (-1) evicted,
+	// > 0 live partial degree. Every insertion starts at 1, so an
+	// all-zero head is a safe empty marker even for vertex id 0.
 	// Tombstone slots always have zeroed replica words so reuse starts
-	// clean.
-	mask    uint64
-	keys    []graph.VertexID
-	degrees []int32
-	words   []uint64 // replica bitmaps, wpe words per slot
-	live    int      // slots with degree > 0
-	dead    int      // tombstone slots
+	// clean. Slots are addressed by the offset of their head word.
+	mask  uint64
+	table []uint64
+	live  int // slots with degree > 0
+	dead  int // tombstone slots
 
 	sizes    []int64
 	assigned int64
@@ -151,14 +157,12 @@ func New(k int, budgetBytes int64) *Cache {
 		eff = floor
 	}
 	c := &Cache{
-		k:       k,
-		wpe:     wpe,
-		budget:  eff,
-		mask:    minSlots - 1,
-		keys:    make([]graph.VertexID, minSlots),
-		degrees: make([]int32, minSlots),
-		words:   make([]uint64, minSlots*wpe),
-		sizes:   make([]int64, k),
+		k:      k,
+		wpe:    wpe,
+		budget: eff,
+		mask:   minSlots - 1,
+		table:  make([]uint64, minSlots*(1+wpe)),
+		sizes:  make([]int64, k),
 	}
 	c.peak = c.Bytes()
 	return c
@@ -171,38 +175,44 @@ func (c *Cache) K() int { return c.k }
 // at the minimum table, or math.MaxInt64 when unlimited.
 func (c *Cache) Budget() int64 { return c.budget }
 
-// find returns v's slot, or -1 if v is not currently held. Probes skip
-// tombstones and stop only at a true empty slot.
+// find returns the head offset of v's slot, or -1 if v is not currently
+// held. Probes skip tombstones and stop only at a true empty slot.
 func (c *Cache) find(v graph.VertexID) int {
+	stride := 1 + c.wpe
 	i := hashx.SplitMix64(uint64(v)) & c.mask
 	for {
-		d := c.degrees[i]
+		b := int(i) * stride
+		h := c.table[b]
+		d := int32(h)
 		if d == 0 {
 			return -1
 		}
-		if d > 0 && c.keys[i] == v {
-			return int(i)
+		if d > 0 && graph.VertexID(h>>32) == v {
+			return b
 		}
 		i = (i + 1) & c.mask
 	}
 }
 
-// bump finds or creates v's slot and increments its partial degree. New
+// bump finds or creates v's slot, increments its partial degree and
+// returns the slot's head offset. New
 // vertices reuse the first tombstone on their probe chain when there is
 // one; only an insertion into a true empty counts against the 3/4 load
 // factor (live + dead both lengthen probe chains) and can trigger
 // makeRoom. Assignments among already-held vertices never reorganise the
 // table.
 func (c *Cache) bump(v graph.VertexID) int {
+	stride := 1 + c.wpe
 	for {
 		i := hashx.SplitMix64(uint64(v)) & c.mask
 		reuse := -1
 		for {
-			d := c.degrees[i]
+			b := int(i) * stride
+			h := c.table[b]
+			d := int32(h)
 			if d == 0 {
 				if reuse >= 0 {
-					c.keys[reuse] = v
-					c.degrees[reuse] = 1
+					c.table[reuse] = head(v, 1)
 					c.live++
 					c.dead--
 					if c.maxDeg < 1 {
@@ -214,24 +224,23 @@ func (c *Cache) bump(v graph.VertexID) int {
 					c.makeRoom()
 					break // re-probe in the reorganised table
 				}
-				c.keys[i] = v
-				c.degrees[i] = 1
+				c.table[b] = head(v, 1)
 				c.live++
 				if c.maxDeg < 1 {
 					c.maxDeg = 1
 				}
-				return int(i)
+				return b
 			}
-			if d > 0 && c.keys[i] == v {
+			if d > 0 && graph.VertexID(h>>32) == v {
 				d++
-				c.degrees[i] = d
+				c.table[b] = head(v, d)
 				if d > c.maxDeg {
 					c.maxDeg = d
 				}
-				return int(i)
+				return b
 			}
 			if d == tombstone && reuse < 0 {
-				reuse = int(i)
+				reuse = b
 			}
 			i = (i + 1) & c.mask
 		}
@@ -268,11 +277,12 @@ func (c *Cache) makeRoom() {
 // slots become tombstones with zeroed replica words.
 func (c *Cache) evictLowDegree() {
 	target := int((c.mask + 1) / 2)
+	stride := 1 + c.wpe
 	for t := int64(1); c.live > target; t *= 2 {
-		for s, d := range c.degrees {
-			if d > 0 && int64(d) <= t {
-				c.degrees[s] = tombstone
-				clear(c.words[s*c.wpe : (s+1)*c.wpe])
+		for b := 0; b < len(c.table); b += stride {
+			if d := int32(c.table[b]); d > 0 && int64(d) <= t {
+				c.table[b] = head(0, tombstone)
+				clear(c.table[b+1 : b+stride])
 				c.live--
 				c.dead++
 				c.evicted++
@@ -289,34 +299,38 @@ func (c *Cache) evictLowDegree() {
 // compaction. Replica views handed out earlier are invalidated; they are
 // only specified to live until the next Assign.
 func (c *Cache) rehashTo(slots uint64) {
-	oldKeys, oldDegrees, oldWords := c.keys, c.degrees, c.words
+	old, stride := c.table, 1+c.wpe
 	c.rehashes++
 	c.mask = slots - 1
-	c.keys = make([]graph.VertexID, slots)
-	c.degrees = make([]int32, slots)
-	c.words = make([]uint64, int(slots)*c.wpe)
+	c.table = make([]uint64, int(slots)*stride)
 	c.dead = 0
-	for s, d := range oldDegrees {
-		if d <= 0 {
+	for s := 0; s < len(old); s += stride {
+		h := old[s]
+		if int32(h) <= 0 {
 			continue
 		}
-		i := hashx.SplitMix64(uint64(oldKeys[s])) & c.mask
-		for c.degrees[i] != 0 {
+		i := hashx.SplitMix64(h>>32) & c.mask
+		for c.table[int(i)*stride] != 0 {
 			i = (i + 1) & c.mask
 		}
-		c.keys[i] = oldKeys[s]
-		c.degrees[i] = d
-		copy(c.words[int(i)*c.wpe:(int(i)+1)*c.wpe], oldWords[s*c.wpe:(s+1)*c.wpe])
+		copy(c.table[int(i)*stride:], old[s:s+stride])
 	}
 	if bytes := tableBytes(slots, c.wpe, c.k); bytes > c.peak {
 		c.peak = bytes
 	}
 }
 
+// words returns the replica bitmap words of the slot whose head is at b,
+// capped at the slot's end so no append can reach the next slot's head.
+func (c *Cache) words(b int) []uint64 {
+	end := b + 1 + c.wpe
+	return c.table[b+1 : end : end]
+}
+
 // replicaView returns the replica bitmap of a live slot as a Set view
-// into the arena — a slice header, no allocation.
-func (c *Cache) replicaView(slot int) bitset.Set {
-	return bitset.View(c.words[slot*c.wpe:(slot+1)*c.wpe], c.k)
+// into the table — a slice header, no allocation.
+func (c *Cache) replicaView(b int) bitset.Set {
+	return bitset.View(c.words(b), c.k)
 }
 
 // Replicas returns the recorded replica set of v: a view into the cache
@@ -326,8 +340,8 @@ func (c *Cache) replicaView(slot int) bitset.Set {
 // being evicted, which costs a redundant replica if it is assigned there
 // again, never a correctness violation.
 func (c *Cache) Replicas(v graph.VertexID) bitset.Set {
-	if slot := c.find(v); slot >= 0 {
-		return c.replicaView(slot)
+	if b := c.find(v); b >= 0 {
+		return c.replicaView(b)
 	}
 	return bitset.Set{}
 }
@@ -337,25 +351,26 @@ func (c *Cache) Replicas(v graph.VertexID) bitset.Set {
 // Streaming algorithms (DBH, HDRF, ADWISE) work with partial degrees
 // because the full degree is unknown mid-stream.
 func (c *Cache) Degree(v graph.VertexID) int {
-	if slot := c.find(v); slot >= 0 {
-		return int(c.degrees[slot])
+	if b := c.find(v); b >= 0 {
+		return int(int32(c.table[b]))
 	}
 	return 0
 }
 
 // LookupWords returns the partial degree and the raw replica bitmap words
-// of v with a single probe — the hot path of per-edge scoring. Callers
-// walk set bits with math/bits instead of probing per-partition Contains
-// or paying a closure call per bit (Set.ForEach). The slice aliases the
-// cache's arena — read-only, valid until the next Assign — and its bits
-// past k-1 are always clear. A miss returns (0, nil), and a nil word slice
-// ranges zero times, so the word-scan inner loop treats an unheld vertex
-// as "unseen" with no extra branch.
+// of v with a single probe, which reads one run of adjacent words — the
+// hot path of per-edge scoring. Callers walk set bits with math/bits
+// instead of probing per-partition Contains or paying a closure call per
+// bit (Set.ForEach). The slice aliases the cache's table — read-only,
+// valid until the next Assign — and its bits past k-1 are always clear.
+// A miss returns (0, nil), and a nil word slice ranges zero times, so the
+// word-scan inner loop treats an unheld vertex as "unseen" with no extra
+// branch.
 //
 //adwise:zeroalloc
 func (c *Cache) LookupWords(v graph.VertexID) (degree int, words []uint64) {
-	if slot := c.find(v); slot >= 0 {
-		return int(c.degrees[slot]), c.words[slot*c.wpe : (slot+1)*c.wpe]
+	if b := c.find(v); b >= 0 {
+		return int(int32(c.table[b])), c.words(b)
 	}
 	return 0, nil
 }
@@ -380,19 +395,20 @@ func (c *Cache) Assign(e graph.Edge, p int) (newSrc, newDst bool) {
 	if p < 0 || p >= c.k {
 		panic(fmt.Sprintf("vcache: assignment to partition %d outside [0,%d)", p, c.k))
 	}
-	w, m := p>>6, uint64(1)<<(uint(p)&63)
+	// p's bit lives in word 1+p/64 past the slot's head.
+	w, m := 1+p>>6, uint64(1)<<(uint(p)&63)
 
-	slot := c.bump(e.Src)
-	if c.words[slot*c.wpe+w]&m == 0 {
-		c.words[slot*c.wpe+w] |= m
+	x := c.bump(e.Src) + w
+	if c.table[x]&m == 0 {
+		c.table[x] |= m
 		newSrc = true
 	}
 	if e.Dst != e.Src {
 		// bump may reorganise the table, so the Dst slot is resolved
 		// after the Src update is complete.
-		slot = c.bump(e.Dst)
-		if c.words[slot*c.wpe+w]&m == 0 {
-			c.words[slot*c.wpe+w] |= m
+		x = c.bump(e.Dst) + w
+		if c.table[x]&m == 0 {
+			c.table[x] |= m
 			newDst = true
 		}
 	}
@@ -437,9 +453,9 @@ func (c *Cache) MinMaxSizeOf(parts []int) (min, max int64) {
 // over the assignment for quality measurement.
 func (c *Cache) SumReplicas() int64 {
 	var sum int64
-	for slot, d := range c.degrees {
-		if d > 0 {
-			sum += int64(c.replicaView(slot).Count())
+	for b := 0; b < len(c.table); b += 1 + c.wpe {
+		if int32(c.table[b]) > 0 {
+			sum += int64(c.replicaView(b).Count())
 		}
 	}
 	return sum
@@ -458,9 +474,9 @@ func (c *Cache) ReplicationDegree() float64 {
 // view that must not be modified or retained). Iteration order is
 // unspecified; evicted vertices are not visited.
 func (c *Cache) ForEachVertex(fn func(v graph.VertexID, replicas bitset.Set)) {
-	for slot, d := range c.degrees {
-		if d > 0 {
-			fn(c.keys[slot], c.replicaView(slot))
+	for b := 0; b < len(c.table); b += 1 + c.wpe {
+		if h := c.table[b]; int32(h) > 0 {
+			fn(graph.VertexID(h>>32), c.replicaView(b))
 		}
 	}
 }
@@ -486,9 +502,9 @@ func (c *Cache) Reserve(vertices int) {
 // post-eviction compactions.
 func (c *Cache) Rehashes() int { return c.rehashes }
 
-// Bytes returns the tracked byte footprint of the table arrays (keys,
-// degrees, replica arena, partition sizes) — see the byte-accounting
-// model above.
+// Bytes returns the tracked byte footprint of the slot table (head and
+// replica words) and the partition sizes — see the byte-accounting model
+// above.
 func (c *Cache) Bytes() int64 { return tableBytes(c.mask+1, c.wpe, c.k) }
 
 // PeakBytes returns the largest footprint reached over the run. The
