@@ -195,12 +195,11 @@ func (c *Cache) find(v graph.VertexID) int {
 }
 
 // bump finds or creates v's slot, increments its partial degree and
-// returns the slot's head offset. New
-// vertices reuse the first tombstone on their probe chain when there is
-// one; only an insertion into a true empty counts against the 3/4 load
-// factor (live + dead both lengthen probe chains) and can trigger
-// makeRoom. Assignments among already-held vertices never reorganise the
-// table.
+// returns the slot's head offset. New vertices reuse the first tombstone
+// on their probe chain when there is one; only an insertion into a true
+// empty counts against the 3/4 load factor (live + dead both lengthen
+// probe chains) and can trigger makeRoom. Assignments among already-held
+// vertices never reorganise the table.
 func (c *Cache) bump(v graph.VertexID) int {
 	stride := 1 + c.wpe
 	for {
