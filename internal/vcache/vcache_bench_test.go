@@ -25,7 +25,7 @@ func benchEdges(n int) []graph.Edge {
 
 const benchK = 32
 
-// largeEdges is the out-of-cache stream: about 1.36M distinct vertices,
+// largeEdges is the out-of-cache stream: about 1.41M distinct vertices,
 // whose table (2M slots, 32 MiB at benchK) is far past the core's L2, so
 // a probe pays the memory latency the slot layout decides. The 64k-edge
 // stream's table fits in L2 and cannot show it.
