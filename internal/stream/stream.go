@@ -60,11 +60,10 @@ func Len(s Stream) (int64, error) {
 	return n, nil
 }
 
-// Collect drains s into a new edge slice of exactly Remaining() edges,
-// reading straight into the slice's free tail. Edges a stream delivers
-// past its Remaining go through a small stack buffer and are appended. A
-// stream that fails mid-pass returns the error, not a silently-short
-// slice.
+// Collect drains s into a new edge slice sized to s.Remaining(), reading
+// straight into the slice's free tail. Edges a stream delivers past its
+// Remaining go through a small stack buffer and are appended. A stream
+// that fails mid-pass returns the error, not a silently-short slice.
 func Collect(s Stream) ([]graph.Edge, error) {
 	m, err := Len(s)
 	if err != nil {
